@@ -16,7 +16,6 @@
 #include "local/ball.hpp"
 #include "local/ball_cache.hpp"
 #include "local/workspace.hpp"
-#include "support/cachectl.hpp"
 #include "support/parallel.hpp"
 
 namespace {
@@ -60,15 +59,15 @@ void BM_CliqueForestBuild(benchmark::State& state) {
 BENCHMARK(BM_CliqueForestBuild)->Range(256, 16384)->Complexity();
 
 void BM_CliqueForestBuildReference(benchmark::State& state) {
-  // CHORDAL_FOREST_REFERENCE path: sorted-merge intersection weights,
-  // comparator-based edge sort. The gap to BM_CliqueForestBuild is the
-  // counting-sort engine's construction win.
+  // The reference oracle on the same clique family: sorted-merge
+  // intersection weights, comparator-based edge sort. The gap to
+  // BM_CliqueForestBuild is the counting-sort engine's construction win.
   auto gen = workload(static_cast<int>(state.range(0)));
-  support::set_forest_reference(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CliqueForest::build(gen.graph));
+    benchmark::DoNotOptimize(max_weight_spanning_forest_oracle(
+        maximal_cliques_chordal_family(gen.graph),
+        gen.graph.num_vertices()));
   }
-  support::set_forest_reference(-1);
   state.SetComplexityN(gen.graph.num_vertices());
 }
 BENCHMARK(BM_CliqueForestBuildReference)->Range(256, 16384)->Complexity();
@@ -104,7 +103,7 @@ void BM_FamilyMwsfReference(benchmark::State& state) {
     std::vector<std::vector<int>> family_cliques;
     family_cliques.reserve(family.size());
     for (int c : family) family_cliques.push_back(word_vec(forest.clique(c)));
-    benchmark::DoNotOptimize(max_weight_spanning_forest_reference(
+    benchmark::DoNotOptimize(max_weight_spanning_forest_oracle(
         family_cliques, gen.graph.num_vertices()));
     v = (v + 37) % gen.graph.num_vertices();
   }

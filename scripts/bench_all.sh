@@ -8,15 +8,11 @@
 #   CHORDAL_BALL_CACHE=1 scripts/bench_all.sh CACHED
 #   scripts/bench_diff.py BENCH_PEELING_UNCACHED.json BENCH_PEELING_CACHED.json
 #
-# The forest-engine evidence pairs are produced the same way with the
-# CHORDAL_FOREST_REFERENCE gate:
+# Suffixed files are throwaway A/B evidence: bench_gate.py skips them, and
+# none are committed.
 #
-#   CHORDAL_FOREST_REFERENCE=1 scripts/bench_all.sh BEFORE
-#   scripts/bench_all.sh AFTER
-#   scripts/bench_diff.py BENCH_FOREST_BEFORE.json BENCH_FOREST_AFTER.json
-#
-# Environment variables (CHORDAL_BALL_CACHE, CHORDAL_FOREST_REFERENCE,
-# CHORDAL_THREADS) pass through to the benches. BUILD_DIR overrides the
+# Environment variables (CHORDAL_BALL_CACHE, CHORDAL_THREADS) pass through
+# to the benches. BUILD_DIR overrides the
 # build tree (default: build-release, configured and built on demand) and
 # OUT_DIR the output directory (default: the repo root — set it to a
 # scratch directory for throwaway runs, e.g. the bench-gate step of

@@ -10,9 +10,9 @@ with absolute and relative change.
 timing fields and cache-effectiveness metadata are scrubbed: wall_ms on
 spans, real/cpu times and run metadata on google-benchmark output, and every
 cache.* counter/gauge/histogram (the cached run publishes those, the
-uncached run does not) and every engine.* counter (allocation accounting
-that differs between the fast and CHORDAL_FOREST_REFERENCE forest
-engines) - they are effectiveness telemetry, not output. The telemetry
+uncached run does not) and every engine.* counter (the forest engine's
+allocation accounting, which measures how an output was computed, not
+what it is) - they are effectiveness telemetry, not output. The telemetry
 "schema" marker (absent = v1, present = v2+) is scrubbed too, so reports
 from either side of the versioning change compare clean.
 Exits nonzero and reports the first differences when anything else differs.

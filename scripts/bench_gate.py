@@ -31,7 +31,7 @@ Exit status: 0 = within tolerance, 1 = regression(s), 2 = usage/setup.
 
 Usage:
   scripts/bench_gate.py --fresh-dir /tmp/bench.fresh
-  scripts/bench_gate.py --fresh-dir d --tolerance 40 BENCH_MVC_ROUNDS_CACHED.json
+  scripts/bench_gate.py --fresh-dir d --tolerance 40 BENCH_MVC_ROUNDS.json
 
 Only the Python standard library is used. scripts/check.sh runs this after
 regenerating the bench set; see README "Tracing and the bench gate".

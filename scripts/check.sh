@@ -44,7 +44,7 @@ CHORDAL_THREADS=4 run_config "$repo/build-tsan" \
 echo
 echo "== Wide ids (CHORDAL_WIDE_IDS=ON: 64-bit slabs, same outputs) =="
 # The id width is storage-only: the full test suite - including the audit
-# matrix (threads {1,8} x cache {on,off} x engine {fast,ref}) and the
+# matrix (threads {1,8} x cache {on,off} x model {LOCAL,CONGEST}) and the
 # trace-parity suites - must pass identically in the 64-bit build.
 run_config "$repo/build-wide" -DCMAKE_BUILD_TYPE=Release -DCHORDAL_WIDE_IDS=ON
 
@@ -94,29 +94,15 @@ python3 "$repo/scripts/trace_check.py" "$smoke_dir/base.trace.json" \
   --telemetry "$smoke_dir/base.json"
 
 echo
-echo "== Forest engine parity smoke (fast vs CHORDAL_FOREST_REFERENCE) =="
-# The counting-sort forest engine and the reference sorted-merge Kruskal
-# must agree on every output cell of the forest bench and of a driver-level
-# run; only timings and cache.*/engine.* effectiveness telemetry may move.
-"$repo/build-release/bench/bench_forest" \
-  --json "$smoke_dir/forest_fast.json" >/dev/null
-CHORDAL_FOREST_REFERENCE=1 "$repo/build-release/bench/bench_forest" \
-  --json "$smoke_dir/forest_ref.json" >/dev/null
-python3 "$repo/scripts/bench_diff.py" --parity \
-  "$smoke_dir/forest_fast.json" "$smoke_dir/forest_ref.json"
-CHORDAL_FOREST_REFERENCE=1 "$repo/build-release/bench/bench_local_views" \
-  --json "$smoke_dir/views_ref.json" >/dev/null
-python3 "$repo/scripts/bench_diff.py" --parity \
-  "$smoke_dir/cached.json" "$smoke_dir/views_ref.json"
-
-echo
 echo "== Cross-width parity smoke (32-bit vs 64-bit id slabs) =="
-# Same forest bench from the wide build: every output cell (sizes, weights,
-# edge hashes) must match the 32-bit run bit-for-bit.
+# The forest bench from both builds: every output cell (sizes, weights,
+# edge hashes) must match bit-for-bit.
+"$repo/build-release/bench/bench_forest" \
+  --json "$smoke_dir/forest_narrow.json" >/dev/null
 "$repo/build-wide/bench/bench_forest" \
   --json "$smoke_dir/forest_wide.json" >/dev/null
 python3 "$repo/scripts/bench_diff.py" --parity \
-  "$smoke_dir/forest_fast.json" "$smoke_dir/forest_wide.json"
+  "$smoke_dir/forest_narrow.json" "$smoke_dir/forest_wide.json"
 
 echo
 echo "== Scale smoke (n=10^5 streaming substrate under the RSS ceiling) =="
@@ -138,8 +124,7 @@ echo "== Dynamic churn smoke (certified updates, colors == omega) =="
 echo
 echo "== Bench regression gate (fresh run vs committed baselines) =="
 # Regenerates the canonical (unsuffixed) bench set into the smoke dir and
-# compares it against the committed BENCH_*.json; suffixed A/B variants
-# (CACHED/UNCACHED/BEFORE/AFTER/...) are skipped automatically.
+# compares it against the committed BENCH_*.json.
 # CHORDAL_DYNAMIC_SMOKE keeps the E17 matrix at its n=10^4 cells here (the
 # full matrix is a quarter-hour; its floors are still hard-checked on the
 # fresh smoke cells, and the committed baseline comes from a full run).

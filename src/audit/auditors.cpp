@@ -244,7 +244,7 @@ void audit_forest_engine_parity(const CliqueFamily& cliques,
   std::vector<WcigEdge> fast;
   max_weight_spanning_forest(cliques, num_graph_vertices, scratch, fast);
   std::vector<WcigEdge> ref =
-      max_weight_spanning_forest_reference(cliques, num_graph_vertices);
+      max_weight_spanning_forest_oracle(cliques, num_graph_vertices);
   auto describe = [](const std::vector<WcigEdge>& edges) {
     std::ostringstream out;
     for (const auto& e : edges) {
@@ -259,6 +259,38 @@ void audit_forest_engine_parity(const CliqueFamily& cliques,
                   })) {
     fail("Theorem 2 unique forest: engine == reference",
          "fast {" + describe(fast) + "} vs ref {" + describe(ref) + "}");
+  }
+}
+
+void audit_family_forest_parity(const CliqueForest& forest) {
+  ForestScratch scratch;
+  std::vector<std::pair<int, int>> fast;
+  for (int v = 0; v < forest.num_graph_vertices(); ++v) {
+    const auto family = forest.cliques_of(v);
+    if (family.size() < 2) continue;
+    // The reference runs on a deep copy of the family cliques; family is
+    // ascending and the cliques are sorted words, so e.a < e.b maps to an
+    // ordered pair of global clique indices.
+    std::vector<std::vector<int>> family_cliques;
+    family_cliques.reserve(family.size());
+    int bound = 0;
+    for (CliqueId c : family) {
+      family_cliques.push_back(word_vec(forest.clique(static_cast<int>(c))));
+      bound = std::max(bound, family_cliques.back().back() + 1);
+    }
+    std::vector<std::pair<int, int>> ref;
+    for (const auto& e :
+         max_weight_spanning_forest_oracle(family_cliques, bound)) {
+      ref.emplace_back(static_cast<int>(family[e.a]),
+                       static_cast<int>(family[e.b]));
+    }
+    fast.clear();
+    family_forest_edges(forest.cliques(), family, scratch, fast);
+    if (fast != ref) {
+      fail("Lemma 2 per-family forest: engine == reference",
+           "phi(" + std::to_string(v) + ") of " +
+               std::to_string(family.size()) + " cliques");
+    }
   }
 }
 
@@ -322,8 +354,7 @@ void audit_rejects_non_chordal(const Graph& g) {
 
 std::string DriverAuditConfig::label() const {
   std::string out = "threads=" + std::to_string(threads) +
-                    " cache=" + (cache ? "on" : "off") +
-                    " engine=" + (forest_reference ? "ref" : "fast");
+                    " cache=" + (cache ? "on" : "off");
   if (congest) {
     out += " model=congest(B=" +
            (congest_b > 0 ? std::to_string(congest_b) : std::string("auto")) +
@@ -392,7 +423,6 @@ struct KnobGuard {
   ~KnobGuard() {
     support::set_num_threads(0);
     support::set_cache_enabled(-1);
-    support::set_forest_reference(-1);
     local::set_network_model(-1);
     local::set_congest_capacity(-1);
   }
@@ -405,7 +435,6 @@ DriverAuditResult run_driver_audit(const Graph& g,
   KnobGuard restore;
   support::set_num_threads(config.threads);
   support::set_cache_enabled(config.cache ? 1 : 0);
-  support::set_forest_reference(config.forest_reference ? 1 : 0);
   local::set_network_model(config.congest ? 1 : 0);
   local::set_congest_capacity(config.congest ? config.congest_b : -1);
 
@@ -448,6 +477,7 @@ DriverAuditResult run_driver_audit(const Graph& g,
     CliqueForest forest = CliqueForest::build(g);
     audit_clique_forest(g, forest);
     audit_forest_engine_parity(forest.cliques(), g.num_vertices());
+    audit_family_forest_parity(forest);
 
     std::vector<int> exact_coloring = baselines::optimal_coloring_chordal(g);
     check_as_audit("exact baseline coloring is proper", [&] {
@@ -524,25 +554,22 @@ int run_driver_audit_matrix(const Graph& g, double eps_color, double eps_mis,
   int configs = 0;
   for (int threads : {1, 8}) {
     for (bool cache : {true, false}) {
-      for (bool reference : {false, true}) {
-        DriverAuditConfig config;
-        config.threads = threads;
-        config.cache = cache;
-        config.forest_reference = reference;
-        config.eps_color = eps_color;
-        config.eps_mis = eps_mis;
-        config.check_per_node_pruning = check_per_node_pruning;
-        DriverAuditResult result = run_driver_audit(g, config);
-        if (configs == 0) {
-          baseline = std::move(result);
-          baseline_label = config.label();
-        } else if (!(result == baseline)) {
-          fail("differential parity across the execution matrix",
-               config.label() + " diverges from " + baseline_label + " on " +
-                   g.summary());
-        }
-        ++configs;
+      DriverAuditConfig config;
+      config.threads = threads;
+      config.cache = cache;
+      config.eps_color = eps_color;
+      config.eps_mis = eps_mis;
+      config.check_per_node_pruning = check_per_node_pruning;
+      DriverAuditResult result = run_driver_audit(g, config);
+      if (configs == 0) {
+        baseline = std::move(result);
+        baseline_label = config.label();
+      } else if (!(result == baseline)) {
+        fail("differential parity across the execution matrix",
+             config.label() + " diverges from " + baseline_label + " on " +
+                 g.summary());
       }
+      ++configs;
     }
   }
   // CONGEST leg: fragmented runs must produce bit-identical algorithm

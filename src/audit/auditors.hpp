@@ -66,6 +66,12 @@ void audit_clique_forest(const Graph& g, const CliqueForest& forest);
 void audit_forest_engine_parity(const CliqueFamily& cliques,
                                 int num_graph_vertices);
 
+/// Lemma 2 per-family selection, differentially: for every vertex v with
+/// |phi(v)| >= 2, family_forest_edges over phi(v) picks exactly the edges
+/// (in the same order) that the reference Kruskal picks on a deep copy of
+/// the family cliques, mapped back through the family indices.
+void audit_family_forest_parity(const CliqueForest& forest);
+
 /// Ledger/telemetry conservation over a finished run's registry: the
 /// published totals must equal the sum of their per-round charges -
 /// counter net.messages == sum(net.round_messages samples), counter
@@ -85,7 +91,6 @@ void audit_rejects_non_chordal(const Graph& g);
 struct DriverAuditConfig {
   int threads = 1;
   bool cache = true;
-  bool forest_reference = false;
   /// Run under the CONGEST bandwidth model (B-word per-edge per-round
   /// capacity, fragmented Network deliveries, transfer rounds on the driver
   /// clocks). Algorithm outputs must stay bit-identical to LOCAL; only
@@ -105,7 +110,7 @@ struct DriverAuditConfig {
 };
 
 /// Everything a config's run produced that must be identical across
-/// (threads, cache, engine) - the cross-config differential signature.
+/// (threads, cache) - the cross-config differential signature.
 struct DriverAuditResult {
   std::vector<int> colors;
   int num_colors = 0;
@@ -121,20 +126,20 @@ struct DriverAuditResult {
 bool operator==(const DriverAuditResult& a, const DriverAuditResult& b);
 
 /// Runs every driver (MVC both modes when requested, MIS, Delta+1 over the
-/// Network engine, clique forest + engine parity, exact baselines) on g
-/// under the given execution config with all per-claim auditors enabled,
-/// and returns the differential signature. Thread count, cache, and forest
-/// engine settings are restored on exit.
+/// Network engine, clique forest + whole-graph and per-family engine
+/// parity, exact baselines) on g under the given execution config with all
+/// per-claim auditors enabled, and returns the differential signature.
+/// Thread count, cache, and network model settings are restored on exit.
 DriverAuditResult run_driver_audit(const Graph& g,
                                    const DriverAuditConfig& config);
 
 /// The full execution matrix of one graph: threads {1, 8} x cache {on,
-/// off} x engine {fast, ref} under LOCAL, each audited, with all eight
-/// signatures asserted identical - then threads {1, 8} x cache {on, off}
-/// under CONGEST (auto B), with the four congest signatures asserted
-/// identical to each other and their algorithm outputs (colors, MIS,
-/// layers) asserted bit-identical to the LOCAL baseline while their round
-/// counts may only grow. Returns the number of configurations run (12).
+/// off} under LOCAL, each audited, with all four signatures asserted
+/// identical - then the same four cells under CONGEST (auto B), with the
+/// four congest signatures asserted identical to each other and their
+/// algorithm outputs (colors, MIS, layers) asserted bit-identical to the
+/// LOCAL baseline while their round counts may only grow. Returns the
+/// number of configurations run (8).
 int run_driver_audit_matrix(const Graph& g, double eps_color, double eps_mis,
                             bool check_per_node_pruning);
 
@@ -169,8 +174,8 @@ UpdateScheduleStats run_update_schedule_audit(
     const DriverAuditConfig& config, DynamicChordal::Signature* final_sig);
 
 /// The schedule under the full execution matrix (threads {1, 8} x cache
-/// {on, off} x engine {fast, ref}), asserting every config lands on the
-/// identical final signature. Returns the number of configurations run.
+/// {on, off}), asserting every config lands on the identical final
+/// signature. Returns the number of configurations run (4).
 int run_update_schedule_matrix(const Graph& base, std::uint64_t seed,
                                int steps);
 

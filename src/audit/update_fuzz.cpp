@@ -2,9 +2,9 @@
 //
 // A schedule is replayed as a pure function of (base graph, seed, steps):
 // every op is drawn from the schedule Rng against the *current* graph
-// state, so two replays under different execution configs (threads, cache,
-// forest engine) draw the identical op sequence and must land on the
-// identical final signature. Three op classes:
+// state, so two replays under different execution configs (threads, cache)
+// draw the identical op sequence and must land on the identical final
+// signature. Three op classes:
 //
 //   * organic churn - random edge inserts/deletes, simplicial-biased vertex
 //     inserts, vertex deletes. The certifier decides validity; both
@@ -163,7 +163,6 @@ struct KnobGuard {
   ~KnobGuard() {
     support::set_num_threads(0);
     support::set_cache_enabled(-1);
-    support::set_forest_reference(-1);
   }
 };
 
@@ -193,7 +192,6 @@ UpdateScheduleStats run_update_schedule_audit(
   KnobGuard restore;
   support::set_num_threads(config.threads);
   support::set_cache_enabled(config.cache ? 1 : 0);
-  support::set_forest_reference(config.forest_reference ? 1 : 0);
 
   DynamicChordal dc(base);
   audit_dynamic_parity(dc);
@@ -399,17 +397,14 @@ int run_update_schedule_matrix(const Graph& base, std::uint64_t seed,
   int configs = 0;
   for (int threads : {1, 8}) {
     for (bool cache : {true, false}) {
-      for (bool reference : {false, true}) {
-        DriverAuditConfig config;
-        config.threads = threads;
-        config.cache = cache;
-        config.forest_reference = reference;
-        DynamicChordal::Signature sig;
-        run_update_schedule_audit(base, seed, steps, config, &sig);
-        sigs.push_back(std::move(sig));
-        labels.push_back(config.label());
-        ++configs;
-      }
+      DriverAuditConfig config;
+      config.threads = threads;
+      config.cache = cache;
+      DynamicChordal::Signature sig;
+      run_update_schedule_audit(base, seed, steps, config, &sig);
+      sigs.push_back(std::move(sig));
+      labels.push_back(config.label());
+      ++configs;
     }
   }
   for (std::size_t i = 1; i < sigs.size(); ++i) {

@@ -6,7 +6,6 @@
 
 #include "graph/cliques.hpp"
 #include "obs/trace.hpp"
-#include "support/cachectl.hpp"
 #include "support/union_find.hpp"
 
 namespace chordal {
@@ -49,7 +48,7 @@ bool uf_unite(ForestScratch& s, int a, int b) {
 
 }  // namespace
 
-std::vector<WcigEdge> max_weight_spanning_forest_reference(
+std::vector<WcigEdge> max_weight_spanning_forest_oracle(
     const std::vector<std::vector<int>>& cliques, int num_graph_vertices) {
   auto edges = wcig_edges(cliques, num_graph_vertices);
   std::sort(edges.begin(), edges.end(),
@@ -64,10 +63,10 @@ std::vector<WcigEdge> max_weight_spanning_forest_reference(
   return chosen;
 }
 
-std::vector<WcigEdge> max_weight_spanning_forest_reference(
+std::vector<WcigEdge> max_weight_spanning_forest_oracle(
     const CliqueFamily& cliques, int num_graph_vertices) {
-  return max_weight_spanning_forest_reference(cliques.to_nested(),
-                                              num_graph_vertices);
+  return max_weight_spanning_forest_oracle(cliques.to_nested(),
+                                           num_graph_vertices);
 }
 
 void max_weight_spanning_forest(const CliqueFamily& cliques,
@@ -75,10 +74,6 @@ void max_weight_spanning_forest(const CliqueFamily& cliques,
                                 ForestScratch& scratch,
                                 std::vector<WcigEdge>& out) {
   out.clear();
-  if (support::forest_reference_enabled()) {
-    out = max_weight_spanning_forest_reference(cliques, num_graph_vertices);
-    return;
-  }
   const int m = static_cast<int>(cliques.size());
   wcig_edges_counting(cliques, num_graph_vertices, scratch, scratch.edges);
   auto& edges = scratch.edges;
@@ -138,9 +133,6 @@ void max_weight_spanning_forest(const CliqueFamily& cliques,
 
 std::vector<WcigEdge> max_weight_spanning_forest(const CliqueFamily& cliques,
                                                  int num_graph_vertices) {
-  if (support::forest_reference_enabled()) {
-    return max_weight_spanning_forest_reference(cliques, num_graph_vertices);
-  }
   ForestScratch scratch;
   std::vector<WcigEdge> out;
   max_weight_spanning_forest(cliques, num_graph_vertices, scratch, out);
@@ -153,25 +145,6 @@ void family_forest_edges(const CliqueFamily& cliques,
                          std::vector<std::pair<int, int>>& out) {
   const int f = static_cast<int>(family.size());
   if (f < 2) return;
-  if (support::forest_reference_enabled()) {
-    // The pre-engine per-family path: deep-copy the family cliques and run
-    // the allocating reference Kruskal over them. family is ascending and
-    // the cliques are sorted words, so e.a < e.b maps to an ordered pair.
-    std::vector<std::vector<int>> family_cliques;
-    family_cliques.reserve(family.size());
-    int bound = 0;
-    for (CliqueId c : family) {
-      const CliqueWord word = cliques[static_cast<std::size_t>(c)];
-      family_cliques.emplace_back(word.begin(), word.end());
-      bound = std::max(bound, family_cliques.back().back() + 1);
-    }
-    for (const auto& e :
-         max_weight_spanning_forest_reference(family_cliques, bound)) {
-      out.emplace_back(static_cast<int>(family[e.a]),
-                       static_cast<int>(family[e.b]));
-    }
-    return;
-  }
   // Pairwise intersection weights of the (complete) family graph, as pair
   // multiplicities over the members' vertices: walking each vertex's
   // occurrence chain costs one increment per shared (clique, clique, vertex)
@@ -242,11 +215,6 @@ void family_forest_edges(const CliqueFamily& cliques,
 
 CliqueForest CliqueForest::build(const Graph& g) {
   return from_family(maximal_cliques_chordal_family(g), g.num_vertices());
-}
-
-CliqueForest CliqueForest::from_cliques(
-    std::vector<std::vector<int>> cliques, int num_graph_vertices) {
-  return from_family(CliqueFamily(cliques), num_graph_vertices);
 }
 
 CliqueForest CliqueForest::from_family(CliqueFamily cliques,

@@ -30,10 +30,6 @@ class CliqueForest {
   static CliqueForest from_family(CliqueFamily cliques,
                                   int num_graph_vertices);
 
-  /// Nested-vector convenience form of from_family (tests, oracles).
-  static CliqueForest from_cliques(std::vector<std::vector<int>> cliques,
-                                   int num_graph_vertices);
-
   int num_cliques() const { return static_cast<int>(cliques_.size()); }
   int num_graph_vertices() const { return num_graph_vertices_; }
 
@@ -83,10 +79,8 @@ class CliqueForest {
 
 /// Kruskal selection shared with local-view computation: returns the edges
 /// of the unique MWSF of the W_G induced by `cliques`, processing edges in
-/// decreasing deterministic order. Routed through the near-linear
-/// ForestScratch engine (see the overload below) unless
-/// support::forest_reference_enabled() forces the reference path; outputs
-/// are bit-identical either way.
+/// decreasing deterministic order. Allocating wrapper over the ForestScratch
+/// engine below - the only forest construction path of the library.
 std::vector<WcigEdge> max_weight_spanning_forest(const CliqueFamily& cliques,
                                                  int num_graph_vertices);
 
@@ -96,20 +90,20 @@ std::vector<WcigEdge> max_weight_spanning_forest(const CliqueFamily& cliques,
 /// (weight, min rank, max rank) tie-breaks via a one-time lexicographic
 /// ranking of the clique words (the identity for canonical sorted
 /// families). `out` receives the chosen edges in decreasing deterministic
-/// order, exactly as max_weight_spanning_forest_reference emits them.
+/// order, exactly as max_weight_spanning_forest_oracle emits them.
 void max_weight_spanning_forest(const CliqueFamily& cliques,
                                 int num_graph_vertices,
                                 ForestScratch& scratch,
                                 std::vector<WcigEdge>& out);
 
 /// The original allocating construction (wcig_edges + O(omega) comparator
-/// sort + fresh UnionFind), kept verbatim as the differential-test oracle
-/// for the engine and as the CHORDAL_FOREST_REFERENCE fallback. The
-/// CliqueFamily form expands to the nested representation first - it is a
-/// cold path by definition.
-std::vector<WcigEdge> max_weight_spanning_forest_reference(
+/// sort + fresh UnionFind), kept verbatim as the differential oracle that
+/// audit_forest_engine_parity and the tests check the engine against; no
+/// driver calls it. The CliqueFamily form expands to the nested
+/// representation first - it is a cold path by definition.
+std::vector<WcigEdge> max_weight_spanning_forest_oracle(
     const std::vector<std::vector<int>>& cliques, int num_graph_vertices);
-std::vector<WcigEdge> max_weight_spanning_forest_reference(
+std::vector<WcigEdge> max_weight_spanning_forest_oracle(
     const CliqueFamily& cliques, int num_graph_vertices);
 
 /// Per-family MWSF for local views (Lemma 2): selects the spanning forest

@@ -131,19 +131,6 @@ void wcig_edges_counting(const CliqueFamily& cliques, int num_graph_vertices,
 }
 
 bool wcig_edge_less(const WcigEdge& e, const WcigEdge& f,
-                    const CliqueFamily& cliques) {
-  if (e.weight != f.weight) return e.weight < f.weight;
-  CliqueWord el = cliques[e.a];
-  CliqueWord eh = cliques[e.b];
-  if (word_less(eh, el)) std::swap(el, eh);
-  CliqueWord fl = cliques[f.a];
-  CliqueWord fh = cliques[f.b];
-  if (word_less(fh, fl)) std::swap(fl, fh);
-  if (!word_eq(el, fl)) return word_less(el, fl);
-  return word_less(eh, fh);
-}
-
-bool wcig_edge_less(const WcigEdge& e, const WcigEdge& f,
                     const std::vector<std::vector<int>>& cliques) {
   if (e.weight != f.weight) return e.weight < f.weight;
   const auto& ea = cliques[e.a];

@@ -73,10 +73,9 @@ void wcig_edges_counting(const CliqueFamily& cliques, int num_graph_vertices,
 ///   (both equal and h_e < h_f), where l/h are the lexicographically
 ///   smaller/larger of the two incident cliques' sorted ID words.
 /// Comparing words (not indices) keeps the order meaningful across different
-/// local views that number cliques differently. The two overloads implement
-/// the same order on the flat and nested clique representations.
-bool wcig_edge_less(const WcigEdge& e, const WcigEdge& f,
-                    const CliqueFamily& cliques);
+/// local views that number cliques differently. Part of the reference
+/// oracle (max_weight_spanning_forest_oracle); the engine realizes the
+/// same order through integer rank comparisons.
 bool wcig_edge_less(const WcigEdge& e, const WcigEdge& f,
                     const std::vector<std::vector<int>>& cliques);
 

@@ -16,17 +16,7 @@
 
 namespace chordal::core {
 
-namespace {
-
 using interval::PathIntervals;
-
-/// Splits an interval model into connected components (local index lists).
-std::vector<std::vector<std::size_t>> model_components(
-    const PathIntervals& rep) {
-  return interval::components(rep);
-}
-
-}  // namespace
 
 MisResult mis_chordal(const Graph& g, const MisOptions& options) {
   if (options.eps <= 0 || options.eps >= 0.5) {
@@ -146,7 +136,7 @@ MisResult mis_chordal(const Graph& g, const MisOptions& options) {
       if (eligible.empty()) return;
       PathIntervals model = interval::restrict(full, eligible);
 
-      for (const auto& comp : model_components(model)) {
+      for (const auto& comp : interval::components(model)) {
         PathIntervals sub = interval::restrict(model, comp);
         // Each component member learns the component's interval model (two
         // words per interval) before the local solve; under CONGEST that

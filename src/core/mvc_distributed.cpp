@@ -246,8 +246,9 @@ struct Engine {
           // (two words per interval); under CONGEST that multi-word message
           // takes ceil(words / B) rounds instead of piggybacking on the
           // LOCAL exchange.
-          std::int64_t spent = xfer(local::interval_model_words(
-              static_cast<std::int64_t>(full.vertices.size())));
+          const std::int64_t model_words = local::interval_model_words(
+              static_cast<std::int64_t>(full.vertices.size()));
+          std::int64_t spent = xfer(model_words);
           std::vector<int> colors;
           if (options.layer_coloring == LayerColoringMode::kColIntGraph) {
             auto res = interval::col_int_graph(mine, result.k);
@@ -265,10 +266,6 @@ struct Engine {
                             mine.vertices[i], unit_layer, colors[i]);
           }
           if (telemetry) {
-            // Each owned vertex learns its path's full interval model (two
-            // words per interval) to run the coloring subroutine.
-            auto model_words = local::interval_model_words(
-                static_cast<std::int64_t>(full.vertices.size()));
             for (std::size_t i = 0; i < mine.vertices.size(); ++i) {
               congestion[mine.vertices[i]] += model_words;
             }

@@ -6,28 +6,23 @@ namespace chordal {
 
 namespace {
 
-std::vector<int> bfs_impl(const Graph& g, std::span<const int> sources,
+std::vector<int> bfs_impl(const Graph& g, int source,
                           const std::vector<char>* active, int radius_limit,
                           std::vector<VertexId>* order) {
+  if (source < 0 || source >= g.num_vertices()) {
+    throw std::out_of_range("bfs: source out of range");
+  }
+  if (active != nullptr && !(*active)[source]) {
+    throw std::invalid_argument("bfs: inactive source");
+  }
   std::vector<int> dist(static_cast<std::size_t>(g.num_vertices()), -1);
   // Flat frontier: every vertex enters at most once, so a plain vector with
   // a read cursor replaces the deque (no per-block allocation, and the
   // visit sequence doubles as the BFS order).
   std::vector<VertexId> queue;
-  queue.reserve(sources.size());
-  for (int s : sources) {
-    if (s < 0 || s >= g.num_vertices()) {
-      throw std::out_of_range("bfs: source out of range");
-    }
-    if (active != nullptr && !(*active)[s]) {
-      throw std::invalid_argument("bfs: inactive source");
-    }
-    if (dist[s] == -1) {
-      dist[s] = 0;
-      queue.push_back(static_cast<VertexId>(s));
-      if (order != nullptr) order->push_back(static_cast<VertexId>(s));
-    }
-  }
+  dist[source] = 0;
+  queue.push_back(static_cast<VertexId>(source));
+  if (order != nullptr) order->push_back(static_cast<VertexId>(source));
   for (std::size_t head = 0; head < queue.size(); ++head) {
     int u = static_cast<int>(queue[head]);
     if (radius_limit >= 0 && dist[u] >= radius_limit) continue;
@@ -78,33 +73,24 @@ std::span<const VertexId> bfs_scratch_impl(const Graph& g, int source,
 }  // namespace
 
 std::vector<int> bfs_distances(const Graph& g, int source) {
-  int s[] = {source};
-  return bfs_impl(g, s, nullptr, -1, nullptr);
-}
-
-std::vector<int> bfs_distances_multi(const Graph& g,
-                                     std::span<const int> sources) {
-  return bfs_impl(g, sources, nullptr, -1, nullptr);
+  return bfs_impl(g, source, nullptr, -1, nullptr);
 }
 
 std::vector<int> bfs_distances_restricted(const Graph& g, int source,
                                           const std::vector<char>& active) {
-  int s[] = {source};
-  return bfs_impl(g, s, &active, -1, nullptr);
+  return bfs_impl(g, source, &active, -1, nullptr);
 }
 
 std::vector<VertexId> ball_vertices(const Graph& g, int center, int radius) {
   std::vector<VertexId> order;
-  int s[] = {center};
-  bfs_impl(g, s, nullptr, radius, &order);
+  bfs_impl(g, center, nullptr, radius, &order);
   return order;
 }
 
 std::vector<VertexId> ball_vertices_restricted(
     const Graph& g, int center, int radius, const std::vector<char>& active) {
   std::vector<VertexId> order;
-  int s[] = {center};
-  bfs_impl(g, s, &active, radius, &order);
+  bfs_impl(g, center, &active, radius, &order);
   return order;
 }
 

@@ -37,10 +37,6 @@ struct BfsScratch {
 /// Distances from `source`; unreachable vertices get -1.
 std::vector<int> bfs_distances(const Graph& g, int source);
 
-/// Distances from any vertex in `sources` (multi-source BFS).
-std::vector<int> bfs_distances_multi(const Graph& g,
-                                     std::span<const int> sources);
-
 /// Distances from `source` within the subgraph induced by vertices where
 /// active[v] is true. Requires active[source].
 std::vector<int> bfs_distances_restricted(const Graph& g, int source,

@@ -7,17 +7,11 @@ namespace chordal::support {
 namespace {
 
 int g_override = -1;  // -1 = follow environment, 0 = off, 1 = on
-int g_forest_override = -1;
 
 bool env_enabled() {
   const char* value = std::getenv("CHORDAL_BALL_CACHE");
   if (value == nullptr || value[0] == '\0') return true;
   return !(value[0] == '0' && value[1] == '\0');
-}
-
-bool env_forest_reference() {
-  const char* value = std::getenv("CHORDAL_FOREST_REFERENCE");
-  return value != nullptr && value[0] == '1' && value[1] == '\0';
 }
 
 }  // namespace
@@ -30,16 +24,6 @@ bool cache_enabled() {
 
 void set_cache_enabled(int enabled) {
   g_override = enabled < 0 ? -1 : (enabled != 0 ? 1 : 0);
-}
-
-bool forest_reference_enabled() {
-  if (g_forest_override >= 0) return g_forest_override != 0;
-  static const bool from_env = env_forest_reference();
-  return from_env;
-}
-
-void set_forest_reference(int enabled) {
-  g_forest_override = enabled < 0 ? -1 : (enabled != 0 ? 1 : 0);
 }
 
 }  // namespace chordal::support

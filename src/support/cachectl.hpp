@@ -1,18 +1,12 @@
-// Process-wide switches for the simulator-speed engines: the
-// cross-iteration caches (local::BallCache and
-// cliqueforest::PathMetricCache) and the clique-forest construction
-// engine (cliqueforest ForestScratch fast path vs. the allocating
-// reference path).
+// Process-wide switch for the simulator-speed cross-iteration caches
+// (local::BallCache and cliqueforest::PathMetricCache).
 //
-// The caches and the forest engine are simulator-speed optimizations that
-// are proven (and fuzz-tested) to keep outputs, round ledgers, and
-// telemetry bit-identical to the plain paths, so the fast paths default to
-// ON. The switches exist for the parity harnesses themselves:
-// `CHORDAL_BALL_CACHE=0` (or set_cache_enabled(0)) forces every driver
-// through the uncached recompute path, and `CHORDAL_FOREST_REFERENCE=1`
-// (or set_forest_reference(1)) forces every spanning-forest selection
-// through the reference sorted-merge Kruskal - which is what the
-// before/after BENCH evidence and the check.sh parity smoke steps compare
+// The caches are simulator-speed optimizations that are proven (and
+// fuzz-tested) to keep outputs, round ledgers, and telemetry bit-identical
+// to the plain recompute paths, so they default to ON. The switch exists
+// for the parity harnesses themselves: `CHORDAL_BALL_CACHE=0` (or
+// set_cache_enabled(0)) forces every driver through the uncached recompute
+// path, which is what the check.sh cache-parity smoke step compares
 // against.
 #pragma once
 
@@ -27,16 +21,5 @@ bool cache_enabled();
 /// value restores the environment default. Mirrors set_num_threads; callers
 /// (tests, benches) toggle it between runs, never mid-driver.
 void set_cache_enabled(int enabled);
-
-/// True when the clique-forest engine must use the reference (allocating,
-/// sorted-merge) spanning-forest path instead of the counting-sort
-/// ForestScratch engine. Reads CHORDAL_FOREST_REFERENCE once ("1" forces
-/// the reference path; unset or anything else selects the fast engine),
-/// unless overridden.
-bool forest_reference_enabled();
-
-/// Runtime override: 1 forces the reference forest path, 0 forces the fast
-/// engine, any negative value restores the environment default.
-void set_forest_reference(int enabled);
 
 }  // namespace chordal::support

@@ -2,14 +2,14 @@
 // counting-sort, rank-indexed, scratch-based MWSF construction
 // (wcig_edges_counting / max_weight_spanning_forest / family_forest_edges)
 // must be bit-identical to the allocating reference oracle
-// (wcig_edges + wcig_edge_less + max_weight_spanning_forest_reference) on
+// (wcig_edges + wcig_edge_less + max_weight_spanning_forest_oracle) on
 // every workload - including the all-equal-weight tie storms of k-trees
 // and unit-interval chains, where only the paper's deterministic
 // (weight, word, word) order separates the candidate edges. On top of the
 // construction-level checks, the drivers (MVC with per-node local views,
 // MIS) must produce identical outputs and identical scrubbed telemetry
-// under every combination of engine (fast / CHORDAL_FOREST_REFERENCE),
-// thread count (1/2/8), and ball cache state (on/off).
+// under every combination of thread count (1/2/8) and ball cache state
+// (on/off).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,7 +96,7 @@ LocalView reference_local_view(const Graph& g, int observer, int radius,
     std::vector<std::vector<int>> family_cliques;
     family_cliques.reserve(family.size());
     for (int c : family) family_cliques.push_back(kept[c]);
-    for (const auto& e : max_weight_spanning_forest_reference(
+    for (const auto& e : max_weight_spanning_forest_oracle(
              family_cliques, g.num_vertices())) {
       int a = family[e.a];
       int b = family[e.b];
@@ -160,7 +160,6 @@ std::vector<std::pair<std::string, Graph>> engine_workloads() {
 class EngineRestorer {
  public:
   ~EngineRestorer() {
-    support::set_forest_reference(-1);
     support::set_cache_enabled(-1);
     support::set_num_threads(0);
   }
@@ -221,7 +220,7 @@ TEST(ForestEngine, MwsfMatchesReferenceOnCanonicalFamilies) {
     auto cliques = maximal_cliques_chordal(g);
     ASSERT_TRUE(cliques_lex_sorted(cliques)) << name;
     auto reference =
-        max_weight_spanning_forest_reference(cliques, g.num_vertices());
+        max_weight_spanning_forest_oracle(cliques, g.num_vertices());
     max_weight_spanning_forest(CliqueFamily(cliques), g.num_vertices(),
                                scratch, fast);
     EXPECT_EQ(flat(reference), flat(fast)) << name;
@@ -239,7 +238,7 @@ TEST(ForestEngine, MwsfMatchesReferenceOnShuffledFamilies) {
     auto cliques = maximal_cliques_chordal(g);
     std::shuffle(cliques.begin(), cliques.end(), rng);
     auto reference =
-        max_weight_spanning_forest_reference(cliques, g.num_vertices());
+        max_weight_spanning_forest_oracle(cliques, g.num_vertices());
     max_weight_spanning_forest(CliqueFamily(cliques), g.num_vertices(),
                                scratch, fast);
     EXPECT_EQ(flat(reference), flat(fast)) << name;
@@ -257,7 +256,7 @@ TEST(ForestEngine, FamilyEngineMatchesPerFamilyReference) {
       std::vector<std::vector<int>> family_cliques;
       for (int c : family) family_cliques.push_back(word_vec(forest.clique(c)));
       std::vector<std::pair<int, int>> reference;
-      for (const auto& e : max_weight_spanning_forest_reference(
+      for (const auto& e : max_weight_spanning_forest_oracle(
                family_cliques, g.num_vertices())) {
         reference.emplace_back(family[e.a], family[e.b]);
       }
@@ -318,16 +317,20 @@ TEST(ForestEngine, LocalViewsMatchOracleUnderActivityMask) {
   }
 }
 
-TEST(ForestEngine, ReferenceGateProducesIdenticalForests) {
-  EngineRestorer restore;
+TEST(ForestEngine, BuildMatchesReferenceForest) {
+  // The full pipeline (CliqueForest::build) must store exactly the forest
+  // the reference Kruskal selects on the same canonical family.
   for (const auto& [name, g] : engine_workloads()) {
-    support::set_forest_reference(0);
-    CliqueForest fast = CliqueForest::build(g);
-    support::set_forest_reference(1);
-    CliqueForest reference = CliqueForest::build(g);
-    support::set_forest_reference(-1);
-    EXPECT_EQ(fast.forest_edges(), reference.forest_edges()) << name;
-    EXPECT_EQ(fast.cliques(), reference.cliques()) << name;
+    CliqueForest forest = CliqueForest::build(g);
+    auto cliques = maximal_cliques_chordal(g);
+    EXPECT_EQ(CliqueFamily(cliques), forest.cliques()) << name;
+    std::vector<std::pair<int, int>> reference;
+    for (const auto& e :
+         max_weight_spanning_forest_oracle(cliques, g.num_vertices())) {
+      reference.emplace_back(e.a, e.b);
+    }
+    std::sort(reference.begin(), reference.end());
+    EXPECT_EQ(reference, forest.forest_edges()) << name;
   }
 }
 
@@ -335,7 +338,7 @@ TEST(ForestEngine, DriverOutputsAndTelemetryEngineInvariant) {
   // MVC through per-node local views (one Lemma 2 family selection per
   // active node per peel iteration - the engine's hottest consumer) and the
   // full MIS driver: outputs and scrubbed telemetry must be identical at
-  // every (engine, threads, cache) combination.
+  // every (threads, cache) combination.
   EngineRestorer restore;
   RandomChordalConfig config;
   config.n = 160;
@@ -349,23 +352,19 @@ TEST(ForestEngine, DriverOutputsAndTelemetryEngineInvariant) {
   std::vector<core::MisResult> mis_results;
   std::vector<std::string> telemetry;
   std::vector<std::string> labels;
-  for (int reference : {0, 1}) {
-    for (int cached : {1, 0}) {
-      for (int threads : {1, 2, 8}) {
-        support::set_forest_reference(reference);
-        support::set_cache_enabled(cached);
-        support::set_num_threads(threads);
-        obs::Registry reg;
-        {
-          obs::ScopedRegistry scope(reg);
-          mvc_results.push_back(core::mvc_chordal(g, options));
-          mis_results.push_back(core::mis_chordal(g));
-        }
-        telemetry.push_back(scrub_volatile(reg.to_json()));
-        labels.push_back("reference=" + std::to_string(reference) +
-                         " cached=" + std::to_string(cached) +
-                         " threads=" + std::to_string(threads));
+  for (int cached : {1, 0}) {
+    for (int threads : {1, 2, 8}) {
+      support::set_cache_enabled(cached);
+      support::set_num_threads(threads);
+      obs::Registry reg;
+      {
+        obs::ScopedRegistry scope(reg);
+        mvc_results.push_back(core::mvc_chordal(g, options));
+        mis_results.push_back(core::mis_chordal(g));
       }
+      telemetry.push_back(scrub_volatile(reg.to_json()));
+      labels.push_back("cached=" + std::to_string(cached) +
+                       " threads=" + std::to_string(threads));
     }
   }
   for (std::size_t i = 1; i < mvc_results.size(); ++i) {

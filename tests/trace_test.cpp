@@ -1,13 +1,11 @@
 // Causal event tracing (obs/trace.hpp): the trace of a run is part of its
 // deterministic output. Scrubbing wall_ns (the only wall-clock field),
 // the merged event stream of a driver run must be bit-identical across
-// thread counts {1, 2, 8} for every cache {on, off} x forest engine
-// {fast, reference} combination; across cache settings it must be
-// identical outside the cache.* events and the view-rebuild forest.build
-// events (views are rebuilt only on miss); and across engines it must be
-// identical outright (the engines agree on every chosen edge). Message
-// lineage must be causal: every net.deliver resolves through its lineage
-// id to exactly one earlier net.send.
+// thread counts {1, 2, 8} at each cache setting {on, off}, and across cache
+// settings it must be identical outside the cache.* events and the
+// view-rebuild forest.build events (views are rebuilt only on miss).
+// Message lineage must be causal: every net.deliver resolves through its
+// lineage id to exactly one earlier net.send.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,18 +40,15 @@ class ToggleRestorer {
   ~ToggleRestorer() {
     support::set_num_threads(0);
     support::set_cache_enabled(-1);
-    support::set_forest_reference(-1);
   }
 };
 
 /// One full driver run (per-node MVC + MIS) under a fresh tracer; returns
 /// the merged event stream with wall_ns zeroed (the only field allowed to
 /// vary between otherwise identical runs).
-std::vector<TraceEvent> traced_run(const Graph& g, int threads, int cache,
-                                   int reference_engine) {
+std::vector<TraceEvent> traced_run(const Graph& g, int threads, int cache) {
   support::set_num_threads(threads);
   support::set_cache_enabled(cache);
-  support::set_forest_reference(reference_engine);
   obs::Tracer tracer;
   {
     obs::ScopedTracer scope(tracer);
@@ -84,42 +79,30 @@ std::vector<TraceEvent> scrub_cache_events(std::vector<TraceEvent> events) {
   return events;
 }
 
-TEST(TraceDeterminism, IdenticalAcrossThreadsCacheAndEngine) {
+TEST(TraceDeterminism, IdenticalAcrossThreadsAndCache) {
   ToggleRestorer restore;
   Graph g = trace_workload();
   const int kThreads[] = {1, 2, 8};
 
   std::vector<TraceEvent> cross_cache_baseline;
   for (int cache : {1, 0}) {
-    std::vector<TraceEvent> engine_baseline;
-    for (int reference : {0, 1}) {
-      std::vector<TraceEvent> thread_baseline;
-      for (int threads : kThreads) {
-        std::vector<TraceEvent> events =
-            traced_run(g, threads, cache, reference);
-        ASSERT_FALSE(events.empty());
-        if (threads == kThreads[0]) {
-          thread_baseline = events;
-        } else {
-          // The headline guarantee: scrubbed streams are bit-identical at
-          // any thread count, library events included.
-          EXPECT_EQ(thread_baseline, events)
-              << "threads=" << threads << " cache=" << cache
-              << " reference=" << reference;
-        }
-      }
-      if (reference == 0) {
-        engine_baseline = thread_baseline;
+    std::vector<TraceEvent> thread_baseline;
+    for (int threads : kThreads) {
+      std::vector<TraceEvent> events = traced_run(g, threads, cache);
+      ASSERT_FALSE(events.empty());
+      if (threads == kThreads[0]) {
+        thread_baseline = events;
       } else {
-        // Fast and reference forest engines choose identical edges, so
-        // even the forest.build events match.
-        EXPECT_EQ(engine_baseline, thread_baseline) << "cache=" << cache;
+        // The headline guarantee: scrubbed streams are bit-identical at
+        // any thread count, library events included.
+        EXPECT_EQ(thread_baseline, events)
+            << "threads=" << threads << " cache=" << cache;
       }
     }
     if (cache == 1) {
-      cross_cache_baseline = scrub_cache_events(engine_baseline);
+      cross_cache_baseline = scrub_cache_events(thread_baseline);
     } else {
-      EXPECT_EQ(cross_cache_baseline, scrub_cache_events(engine_baseline));
+      EXPECT_EQ(cross_cache_baseline, scrub_cache_events(thread_baseline));
     }
   }
 }
@@ -127,7 +110,7 @@ TEST(TraceDeterminism, IdenticalAcrossThreadsCacheAndEngine) {
 TEST(TraceDeterminism, DriverEventFamiliesPresent) {
   ToggleRestorer restore;
   Graph g = trace_workload();
-  std::vector<TraceEvent> events = traced_run(g, 2, 1, 0);
+  std::vector<TraceEvent> events = traced_run(g, 2, 1);
   auto count = [&](TraceEventKind kind) {
     return std::count_if(events.begin(), events.end(),
                          [&](const TraceEvent& e) { return e.kind == kind; });
@@ -153,7 +136,7 @@ TEST(TraceDeterminism, DriverEventFamiliesPresent) {
 TEST(TraceQuery, NodeAndRoundSlices) {
   ToggleRestorer restore;
   Graph g = trace_workload();
-  obs::TraceQuery q(traced_run(g, 2, 1, 0));
+  obs::TraceQuery q(traced_run(g, 2, 1));
 
   // Find a peeled vertex and check the node slice is exactly its events.
   const TraceEvent* commit = nullptr;

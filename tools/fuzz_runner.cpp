@@ -2,10 +2,11 @@
 //
 // Builds the structured corpus from src/audit/fuzzers.hpp and pushes every
 // case through the invariant auditors: chordal graph cases run the full
-// differential execution matrix (threads {1,8} x cache {on,off} x engine
-// {fast,ref}) with every per-claim auditor enabled; near-chordal cases must
-// be rejected with a typed exception; corrupted byte streams must parse
-// canonically or throw - never crash. Intended to run under ASan+UBSan:
+// differential execution matrix (threads {1,8} x cache {on,off} x model
+// {LOCAL,CONGEST}) with every per-claim auditor enabled, the whole-graph
+// and per-family forest engine parity checks included; near-chordal cases
+// must be rejected with a typed exception; corrupted byte streams must
+// parse canonically or throw - never crash. Intended to run under ASan+UBSan:
 // any sanitizer report, crash, or auditor violation fails the gate.
 //
 // Chordal graph cases are joined by dynamic update schedules: each replays
