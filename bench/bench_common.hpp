@@ -21,7 +21,7 @@
 //
 // install an obs::Tracer for the run and export the causal event trace on
 // exit: phases, per-round network sends/delivers with message lineage,
-// peel/color/MIS decisions, cache hits/misses, forest builds. Tracing also
+// peel/color/MIS decisions, forest builds. Tracing also
 // installs the registry (spans need it to record), so --trace alone still
 // produces phase tracks. scripts/trace_check.py validates the output.
 #pragma once

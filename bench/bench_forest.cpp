@@ -113,7 +113,7 @@ std::vector<Workload> workloads() {
   // unit-interval staircase keeps all clique overlaps near-equal, so whole
   // weight classes collide and only the deterministic word order (integer
   // rank comparisons in the engine) decides the forest.
-  out.push_back({"k_tree k=4 n=4096", random_k_tree(4096, 4, 9)});
+  out.push_back({"k_tree k=4 n=4096", streaming_k_tree(4096, 4, 9)});
   out.push_back(
       {"staircase n=4096", staircase_interval(4096, 0.7, 0.1, 5).graph});
   return out;

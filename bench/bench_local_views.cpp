@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "cliqueforest/forest.hpp"
 #include "cliqueforest/local_view.hpp"
-#include "local/ball_cache.hpp"
+#include "local/workspace.hpp"
 
 int main(int argc, char** argv) {
   using namespace chordal;
@@ -22,10 +22,8 @@ int main(int argc, char** argv) {
                           TreeShape::kSpider}) {
     const char* names[] = {"path", "caterpillar", "random", "binary",
                            "spider"};
-    // One workload and one ball cache per shape: the ascending radii then
-    // grow each observer's cached ball by frontier extension instead of
-    // re-flooding from scratch, and the cache.* counters land in the --json
-    // telemetry as the effectiveness record.
+    // One workload per shape; every view is rebuilt from scratch through
+    // one reused workspace.
     auto gen = bench::chordal_workload(600, shape, 5);
     const Graph& g = gen.graph;
     CliqueForest global = CliqueForest::build(g);
@@ -36,7 +34,8 @@ int main(int argc, char** argv) {
       auto key = std::minmax(ca, cb);
       edges[{key.first, key.second}] = 1;
     }
-    local::BallCache cache(g);
+    local::BallWorkspace ws;
+    LocalView view;
     for (int radius : {2, 4, 8}) {
       obs::Span span(std::string("views ") + names[static_cast<int>(shape)] +
                      " radius=" + std::to_string(radius));
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
       int observers = 0;
       for (int v = 0; v < g.num_vertices(); v += 11) {
         ++observers;
-        const LocalView& view = *cache.shard(0).local_view(v, radius).view;
+        local::compute_local_view(g, v, radius, nullptr, ws, view);
         for (auto [a, b] : view.forest_edges) {
           ++checked_edges;
           std::vector<int> ca = word_vec(view.cliques[a]);

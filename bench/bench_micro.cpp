@@ -14,7 +14,6 @@
 #include "graph/generators.hpp"
 #include "graph/peo.hpp"
 #include "local/ball.hpp"
-#include "local/ball_cache.hpp"
 #include "local/workspace.hpp"
 #include "support/parallel.hpp"
 
@@ -155,29 +154,6 @@ void BM_BallCollectionWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_BallCollectionWorkspace)->DenseRange(2, 14, 4);
 
-void BM_BallCollectionCached(benchmark::State& state) {
-  // Repeat-query steady state: the drivers re-query the same centers every
-  // peel iteration, so this cycles over 64 fixed centers at a fixed radius
-  // with no deactivations - after the first lap every lookup is a pure
-  // cache hit. The hits/misses counters land in the --benchmark JSON as the
-  // cache-effectiveness record. CHORDAL_BALL_CACHE=0 turns this into the
-  // uncached workspace path (before/after evidence in one binary).
-  auto gen = workload(2048);
-  local::BallCache cache(gen.graph);
-  const int n = gen.graph.num_vertices();
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache.shard(0).collect_ball((i * 131) % n,
-                                    static_cast<int>(state.range(0))));
-    i = (i + 1) % 64;
-  }
-  local::BallCache::Stats stats = cache.stats();
-  state.counters["hits"] = static_cast<double>(stats.hits);
-  state.counters["misses"] = static_cast<double>(stats.misses);
-}
-BENCHMARK(BM_BallCollectionCached)->DenseRange(2, 14, 4);
-
 void BM_LocalView(benchmark::State& state) {
   auto gen = workload(1024);
   int v = 0;
@@ -200,22 +176,6 @@ void BM_LocalViewWorkspace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalViewWorkspace);
-
-void BM_LocalViewCached(benchmark::State& state) {
-  // Same repeat-query pattern as BM_BallCollectionCached, for full views.
-  auto gen = workload(1024);
-  local::BallCache cache(gen.graph);
-  const int n = gen.graph.num_vertices();
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.shard(0).local_view((i * 131) % n, 6).view);
-    i = (i + 1) % 64;
-  }
-  local::BallCache::Stats stats = cache.stats();
-  state.counters["hits"] = static_cast<double>(stats.hits);
-  state.counters["misses"] = static_cast<double>(stats.misses);
-}
-BENCHMARK(BM_LocalViewCached);
 
 void BM_MvcEndToEnd(benchmark::State& state) {
   auto gen = workload(static_cast<int>(state.range(0)));

@@ -6,10 +6,7 @@
 // Lemma 12): peel_with_local_decisions and the local-decision audits, which
 // re-derive every node's layer decision from its ball at every iteration.
 // Each driver runs inside its own span, so the --json report carries
-// per-driver wall_ms; together with the cache.* counters this is the
-// before/after evidence for the cross-iteration ball cache
-// (CHORDAL_BALL_CACHE=0 forces the uncached recompute path; every table
-// cell is cache-independent by construction).
+// per-driver wall_ms.
 #include <cmath>
 
 #include "bench_common.hpp"
@@ -83,7 +80,7 @@ int main(int argc, char** argv) {
     {
       obs::Span span("audit_local_pruning n=" +
                      std::to_string(g.num_vertices()));
-      auto audit = core::audit_local_pruning(g, forest, peeling, k, 1);
+      auto audit = core::audit_local_pruning(g, peeling, k, 1);
       drivers.add_row({"audit_local_pruning", Table::fmt(g.num_vertices()),
                        Table::fmt(k), Table::fmt(peeling.num_layers),
                        Table::fmt(audit.decisions_checked),

@@ -2,17 +2,18 @@
 # Runs the experiment benches at their pinned seeds (the seeds are baked
 # into the bench sources) and writes canonical BENCH_*.json files at the
 # repo root. With a suffix argument the files become BENCH_<NAME>_<SUFFIX>
-# .json, which is how the cached/uncached evidence pairs are produced:
+# .json, which is how A/B evidence pairs are produced, e.g. across thread
+# counts:
 #
-#   CHORDAL_BALL_CACHE=0 scripts/bench_all.sh UNCACHED
-#   CHORDAL_BALL_CACHE=1 scripts/bench_all.sh CACHED
-#   scripts/bench_diff.py BENCH_PEELING_UNCACHED.json BENCH_PEELING_CACHED.json
+#   CHORDAL_THREADS=1 scripts/bench_all.sh T1
+#   CHORDAL_THREADS=4 scripts/bench_all.sh T4
+#   scripts/bench_diff.py BENCH_PEELING_T1.json BENCH_PEELING_T4.json
 #
 # Suffixed files are throwaway A/B evidence: bench_gate.py skips them, and
 # none are committed.
 #
-# Environment variables (CHORDAL_BALL_CACHE, CHORDAL_THREADS) pass through
-# to the benches. BUILD_DIR overrides the
+# Environment variables (CHORDAL_THREADS, CHORDAL_NET_MODEL,
+# CHORDAL_CONGEST_B) pass through to the benches. BUILD_DIR overrides the
 # build tree (default: build-release, configured and built on demand) and
 # OUT_DIR the output directory (default: the repo root — set it to a
 # scratch directory for throwaway runs, e.g. the bench-gate step of

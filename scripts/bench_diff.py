@@ -7,16 +7,15 @@ benchmark of a google-benchmark JSON file (name, cpu_time), matched by name,
 with absolute and relative change.
 
 --parity mode instead checks that the two files are byte-equivalent once
-timing fields and cache-effectiveness metadata are scrubbed: wall_ms on
-spans, real/cpu times and run metadata on google-benchmark output, and every
-cache.* counter/gauge/histogram (the cached run publishes those, the
-uncached run does not) and every engine.* counter (the forest engine's
-allocation accounting, which measures how an output was computed, not
-what it is) - they are effectiveness telemetry, not output. The telemetry
+timing fields and effectiveness metadata are scrubbed: wall_ms on spans,
+real/cpu times and run metadata on google-benchmark output, and every
+engine.* counter (the forest engine's allocation accounting, which
+measures how an output was computed, not what it is) - effectiveness
+telemetry, not output. The telemetry
 "schema" marker (absent = v1, present = v2+) is scrubbed too, so reports
 from either side of the versioning change compare clean.
 Exits nonzero and reports the first differences when anything else differs.
-Scripts use it as the cached-vs-uncached smoke gate; see scripts/check.sh.
+Scripts use it as the cross-width smoke gate; see scripts/check.sh.
 
 --scrub-rounds additionally scrubs everything the network model is allowed
 to change: round counters and round-resolution telemetry (any counter,
@@ -56,15 +55,6 @@ TIMING_KEYS = {
     "rms",
 }
 
-# Cache-effectiveness counters: google-benchmark flattens state.counters
-# into top-level keys, so the cached micro-benchmarks report bare
-# "hits"/"misses" rather than cache.*-prefixed names.
-CACHE_COUNTER_KEYS = {"hits", "misses"}
-
-
-def is_cache_key(key):
-    return key.startswith("cache.") or key in CACHE_COUNTER_KEYS
-
 
 def is_effectiveness_key(key):
     # engine.* counters (e.g. bench_forest's per-phase allocation counts)
@@ -72,7 +62,7 @@ def is_effectiveness_key(key):
     # produced; the fast and reference forest engines legitimately differ
     # on them while agreeing on every output cell. The schema marker is
     # format versioning, not output.
-    return is_cache_key(key) or key.startswith("engine.") or key == "schema"
+    return key.startswith("engine.") or key == "schema"
 
 
 def check_schema(doc, path):
@@ -92,7 +82,7 @@ def is_round_key(key):
 
 
 def scrub(node, rounds=False):
-    """Removes timing fields and cache.*/engine.* metadata, recursively;
+    """Removes timing fields and engine.* metadata, recursively;
     with rounds=True also removes round-resolution fields (see
     --scrub-rounds)."""
     if isinstance(node, dict):
@@ -191,7 +181,7 @@ def main():
     parser.add_argument(
         "--parity",
         action="store_true",
-        help="require equality outside timing and cache.* fields",
+        help="require equality outside timing and engine.* fields",
     )
     parser.add_argument(
         "--scrub-rounds",
@@ -217,7 +207,7 @@ def main():
         scrubbed_a = scrub(doc_a, rounds=args.scrub_rounds)
         scrubbed_b = scrub(doc_b, rounds=args.scrub_rounds)
         if scrubbed_a == scrubbed_b:
-            what = "timing/cache/round" if args.scrub_rounds else "timing/cache"
+            what = "timing/engine/round" if args.scrub_rounds else "timing/engine"
             print(f"parity OK: {args.a} == {args.b} outside {what} fields")
             return 0
         lines = []

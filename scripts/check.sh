@@ -2,9 +2,9 @@
 # Full pre-merge check: build and test the Release configuration, the
 # combined ASan+UBSan configuration, and the ThreadSanitizer configuration
 # (which exercises the parallel_for drivers at several worker counts),
-# then a cache-parity smoke run: one driver bench executed cached and
-# uncached must produce identical JSON outside timing and cache.* fields,
-# a CONGEST-parity smoke run (the same bench under --model congest must
+# then a pipeline digest smoke run (every pipebench workload, in both trace
+# modes, must reproduce its pinned per-stage output digests), a
+# CONGEST-parity smoke run (the same bench under --model congest must
 # match its LOCAL run outside round counts and net.* telemetry),
 # a trace smoke run (--trace output must validate: well-formed Chrome
 # JSON, monotone ticks, resolvable message lineage, counts matching the
@@ -44,8 +44,8 @@ CHORDAL_THREADS=4 run_config "$repo/build-tsan" \
 echo
 echo "== Wide ids (CHORDAL_WIDE_IDS=ON: 64-bit slabs, same outputs) =="
 # The id width is storage-only: the full test suite - including the audit
-# matrix (threads {1,8} x cache {on,off} x model {LOCAL,CONGEST}) and the
-# trace-parity suites - must pass identically in the 64-bit build.
+# matrix (threads {1,8} x model {LOCAL,CONGEST}) and the trace-parity
+# suites - must pass identically in the 64-bit build.
 run_config "$repo/build-wide" -DCMAKE_BUILD_TYPE=Release -DCHORDAL_WIDE_IDS=ON
 
 echo
@@ -56,15 +56,13 @@ echo "== Fuzz/audit smoke (pinned-seed corpus under ASan+UBSan) =="
 CHORDAL_FUZZ_DIR="$repo/build-san" "$repo/scripts/fuzz.sh"
 
 echo
-echo "== Cache parity smoke (cached vs uncached driver run) =="
+echo "== Pipeline digest smoke (graph -> colors / MIS / labels, end to end) =="
+# Every pipebench workload at its small size, in both trace modes: each
+# stage's output digest must equal its pin in pipebench/digests.json, so
+# outputs stay bit-identical end to end.
+python3 "$repo/pipebench/run.py" --small
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-CHORDAL_BALL_CACHE=0 "$repo/build-release/bench/bench_local_views" \
-  --json "$smoke_dir/uncached.json" >/dev/null
-CHORDAL_BALL_CACHE=1 "$repo/build-release/bench/bench_local_views" \
-  --json "$smoke_dir/cached.json" >/dev/null
-python3 "$repo/scripts/bench_diff.py" --parity \
-  "$smoke_dir/uncached.json" "$smoke_dir/cached.json"
 
 echo
 echo "== CONGEST parity smoke (LOCAL vs --model congest driver run) =="
@@ -83,7 +81,7 @@ echo
 echo "== Trace smoke (--trace output validates against telemetry) =="
 # One driver bench (no Network) and one message-passing bench: between
 # them every event family is exercised — phases, peel/color/MIS decisions,
-# cache traffic, forest builds, and network send/deliver lineage.
+# forest builds, and network send/deliver lineage.
 "$repo/build-release/bench/bench_mvc_rounds" \
   --trace "$smoke_dir/mvc.trace.json" --json "$smoke_dir/mvc.json" >/dev/null
 python3 "$repo/scripts/trace_check.py" "$smoke_dir/mvc.trace.json" \

@@ -3,11 +3,10 @@
 # tools/fuzz_runner over the structured corpus (degenerate graphs, chordal
 # mixes, disconnected unions, tie storms, near-chordal adversaries, and
 # corrupted read_graph byte streams). Every chordal graph case runs the full
-# differential execution matrix - threads {1,8} x cache {on,off} x model
-# {LOCAL,CONGEST} - with all per-claim invariant auditors enabled (the
-# forest engine is checked against its reference Kruskal on every graph and
-# every phi(v) family); any
-# sanitizer report, crash, or auditor violation fails the gate.
+# differential execution matrix - threads {1,8} x model {LOCAL,CONGEST} -
+# with all per-claim invariant auditors enabled (the forest engine is
+# checked against its reference Kruskal on every graph and every phi(v)
+# family); any sanitizer report, crash, or auditor violation fails the gate.
 #
 # The corpus is a pure function of the seed, so every failure line
 # ("FAIL family#seed: ...") replays exactly with

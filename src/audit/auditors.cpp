@@ -9,7 +9,6 @@
 #include "core/local_decision.hpp"
 #include "local/bandwidth.hpp"
 #include "local/flood.hpp"
-#include "support/cachectl.hpp"
 #include "support/parallel.hpp"
 #include "support/union_find.hpp"
 
@@ -353,8 +352,7 @@ void audit_rejects_non_chordal(const Graph& g) {
 }
 
 std::string DriverAuditConfig::label() const {
-  std::string out = "threads=" + std::to_string(threads) +
-                    " cache=" + (cache ? "on" : "off");
+  std::string out = "threads=" + std::to_string(threads);
   if (congest) {
     out += " model=congest(B=" +
            (congest_b > 0 ? std::to_string(congest_b) : std::string("auto")) +
@@ -373,7 +371,7 @@ bool operator==(const DriverAuditResult& a, const DriverAuditResult& b) {
 namespace {
 
 bool is_effectiveness_metric(const std::string& name) {
-  return name.rfind("cache.", 0) == 0 || name.rfind("engine.", 0) == 0;
+  return name.rfind("engine.", 0) == 0;
 }
 
 void signature_spans(const obs::SpanNode& node, std::ostringstream& out,
@@ -391,8 +389,8 @@ void signature_spans(const obs::SpanNode& node, std::ostringstream& out,
 
 /// Everything deterministic in the registry: counters, gauges, histogram
 /// sample moments, and the span tree with LOCAL-model charges - excluding
-/// wall times and cache.*/engine.* effectiveness metrics, exactly the
-/// scrub rule of scripts/bench_diff.py --parity.
+/// wall times and engine.* effectiveness metrics, exactly the scrub rule
+/// of scripts/bench_diff.py --parity.
 std::string telemetry_signature(const obs::Registry& reg) {
   std::ostringstream out;
   for (const auto& [name, counter] : reg.counters()) {
@@ -422,7 +420,6 @@ std::string telemetry_signature(const obs::Registry& reg) {
 struct KnobGuard {
   ~KnobGuard() {
     support::set_num_threads(0);
-    support::set_cache_enabled(-1);
     local::set_network_model(-1);
     local::set_congest_capacity(-1);
   }
@@ -434,7 +431,6 @@ DriverAuditResult run_driver_audit(const Graph& g,
                                    const DriverAuditConfig& config) {
   KnobGuard restore;
   support::set_num_threads(config.threads);
-  support::set_cache_enabled(config.cache ? 1 : 0);
   local::set_network_model(config.congest ? 1 : 0);
   local::set_congest_capacity(config.congest ? config.congest_b : -1);
 
@@ -553,65 +549,59 @@ int run_driver_audit_matrix(const Graph& g, double eps_color, double eps_mis,
   std::string baseline_label;
   int configs = 0;
   for (int threads : {1, 8}) {
-    for (bool cache : {true, false}) {
-      DriverAuditConfig config;
-      config.threads = threads;
-      config.cache = cache;
-      config.eps_color = eps_color;
-      config.eps_mis = eps_mis;
-      config.check_per_node_pruning = check_per_node_pruning;
-      DriverAuditResult result = run_driver_audit(g, config);
-      if (configs == 0) {
-        baseline = std::move(result);
-        baseline_label = config.label();
-      } else if (!(result == baseline)) {
-        fail("differential parity across the execution matrix",
-             config.label() + " diverges from " + baseline_label + " on " +
-                 g.summary());
-      }
-      ++configs;
+    DriverAuditConfig config;
+    config.threads = threads;
+    config.eps_color = eps_color;
+    config.eps_mis = eps_mis;
+    config.check_per_node_pruning = check_per_node_pruning;
+    DriverAuditResult result = run_driver_audit(g, config);
+    if (configs == 0) {
+      baseline = std::move(result);
+      baseline_label = config.label();
+    } else if (!(result == baseline)) {
+      fail("differential parity across the execution matrix",
+           config.label() + " diverges from " + baseline_label + " on " +
+               g.summary());
     }
+    ++configs;
   }
   // CONGEST leg: fragmented runs must produce bit-identical algorithm
-  // outputs to the LOCAL baseline at every (threads, cache) cell; round
-  // counts may only grow (transfer rounds are additive). The four congest
-  // signatures must also agree with each other in full, telemetry included.
+  // outputs to the LOCAL baseline at every thread count; round counts may
+  // only grow (transfer rounds are additive). The two congest signatures
+  // must also agree with each other in full, telemetry included.
   DriverAuditResult congest_baseline;
   std::string congest_baseline_label;
   int congest_configs = 0;
   for (int threads : {1, 8}) {
-    for (bool cache : {true, false}) {
-      DriverAuditConfig config;
-      config.threads = threads;
-      config.cache = cache;
-      config.congest = true;
-      config.eps_color = eps_color;
-      config.eps_mis = eps_mis;
-      config.check_per_node_pruning = check_per_node_pruning;
-      DriverAuditResult result = run_driver_audit(g, config);
-      if (result.colors != baseline.colors ||
-          result.num_colors != baseline.num_colors ||
-          result.mis != baseline.mis ||
-          result.num_layers != baseline.num_layers) {
-        fail("CONGEST outputs bit-identical to LOCAL",
-             config.label() + " diverges from " + baseline_label + " on " +
-                 g.summary());
-      }
-      if (result.mvc_rounds < baseline.mvc_rounds ||
-          result.mis_rounds < baseline.mis_rounds) {
-        fail("CONGEST round counts never drop below LOCAL",
-             config.label() + " on " + g.summary());
-      }
-      if (congest_configs == 0) {
-        congest_baseline = std::move(result);
-        congest_baseline_label = config.label();
-      } else if (!(result == congest_baseline)) {
-        fail("differential parity across the CONGEST execution matrix",
-             config.label() + " diverges from " + congest_baseline_label +
-                 " on " + g.summary());
-      }
-      ++congest_configs;
+    DriverAuditConfig config;
+    config.threads = threads;
+    config.congest = true;
+    config.eps_color = eps_color;
+    config.eps_mis = eps_mis;
+    config.check_per_node_pruning = check_per_node_pruning;
+    DriverAuditResult result = run_driver_audit(g, config);
+    if (result.colors != baseline.colors ||
+        result.num_colors != baseline.num_colors ||
+        result.mis != baseline.mis ||
+        result.num_layers != baseline.num_layers) {
+      fail("CONGEST outputs bit-identical to LOCAL",
+           config.label() + " diverges from " + baseline_label + " on " +
+               g.summary());
     }
+    if (result.mvc_rounds < baseline.mvc_rounds ||
+        result.mis_rounds < baseline.mis_rounds) {
+      fail("CONGEST round counts never drop below LOCAL",
+           config.label() + " on " + g.summary());
+    }
+    if (congest_configs == 0) {
+      congest_baseline = std::move(result);
+      congest_baseline_label = config.label();
+    } else if (!(result == congest_baseline)) {
+      fail("differential parity across the CONGEST execution matrix",
+           config.label() + " diverges from " + congest_baseline_label +
+               " on " + g.summary());
+    }
+    ++congest_configs;
   }
   return configs + congest_configs;
 }

@@ -90,7 +90,6 @@ void audit_rejects_non_chordal(const Graph& g);
 
 struct DriverAuditConfig {
   int threads = 1;
-  bool cache = true;
   /// Run under the CONGEST bandwidth model (B-word per-edge per-round
   /// capacity, fragmented Network deliveries, transfer rounds on the driver
   /// clocks). Algorithm outputs must stay bit-identical to LOCAL; only
@@ -110,7 +109,7 @@ struct DriverAuditConfig {
 };
 
 /// Everything a config's run produced that must be identical across
-/// (threads, cache) - the cross-config differential signature.
+/// thread counts - the cross-config differential signature.
 struct DriverAuditResult {
   std::vector<int> colors;
   int num_colors = 0;
@@ -118,8 +117,8 @@ struct DriverAuditResult {
   std::int64_t mvc_rounds = 0;
   std::int64_t mis_rounds = 0;
   int num_layers = 0;
-  /// Registry signature: counters/gauges/histograms (cache.* and engine.*
-  /// effectiveness metrics excluded) plus the span tree without wall times.
+  /// Registry signature: counters/gauges/histograms (engine.* effectiveness
+  /// metrics excluded) plus the span tree without wall times.
   std::string telemetry;
 };
 
@@ -129,17 +128,17 @@ bool operator==(const DriverAuditResult& a, const DriverAuditResult& b);
 /// Network engine, clique forest + whole-graph and per-family engine
 /// parity, exact baselines) on g under the given execution config with all
 /// per-claim auditors enabled, and returns the differential signature.
-/// Thread count, cache, and network model settings are restored on exit.
+/// Thread count and network model settings are restored on exit.
 DriverAuditResult run_driver_audit(const Graph& g,
                                    const DriverAuditConfig& config);
 
-/// The full execution matrix of one graph: threads {1, 8} x cache {on,
-/// off} under LOCAL, each audited, with all four signatures asserted
-/// identical - then the same four cells under CONGEST (auto B), with the
-/// four congest signatures asserted identical to each other and their
-/// algorithm outputs (colors, MIS, layers) asserted bit-identical to the
-/// LOCAL baseline while their round counts may only grow. Returns the
-/// number of configurations run (8).
+/// The full execution matrix of one graph: threads {1, 8} under LOCAL,
+/// each audited, with both signatures asserted identical - then the same
+/// two cells under CONGEST (auto B), with the two congest signatures
+/// asserted identical to each other and their algorithm outputs (colors,
+/// MIS, layers) asserted bit-identical to the LOCAL baseline while their
+/// round counts may only grow. Returns the number of configurations run
+/// (4).
 int run_driver_audit_matrix(const Graph& g, double eps_color, double eps_mis,
                             bool check_per_node_pruning);
 
@@ -164,18 +163,15 @@ struct UpdateScheduleStats {
 /// config: random edge/vertex inserts and deletes (the certifier decides
 /// validity; every rejection's witness is checked to be a genuine chordless
 /// cycle of the would-be graph) plus injected guaranteed-violating updates
-/// that MUST be rejected. audit_dynamic_parity runs after every step. When
-/// config.cache is set, a BallCache rides along: periodically rebound to a
-/// fresh materialize() snapshot, reconciled through invalidate_touched /
-/// reactivate / deactivate from the facade's dirty region, and probed
-/// against fresh ball collection. The final signature lands in *final.
+/// that MUST be rejected. audit_dynamic_parity runs after every step. The
+/// final signature lands in *final_sig.
 UpdateScheduleStats run_update_schedule_audit(
     const Graph& base, std::uint64_t seed, int steps,
     const DriverAuditConfig& config, DynamicChordal::Signature* final_sig);
 
-/// The schedule under the full execution matrix (threads {1, 8} x cache
-/// {on, off}), asserting every config lands on the identical final
-/// signature. Returns the number of configurations run (4).
+/// The schedule under the full execution matrix (threads {1, 8}),
+/// asserting every config lands on the identical final signature. Returns
+/// the number of configurations run (2).
 int run_update_schedule_matrix(const Graph& base, std::uint64_t seed,
                                int steps);
 

@@ -66,9 +66,9 @@ Graph small_component(Rng& rng, int max_n) {
     }
     case 1: {
       // Clamp n to k+1, not a constant: (n=3, k=3) used to slip through and
-      // trip random_k_tree's precondition on rare seeds.
+      // trip streaming_k_tree's precondition on rare seeds.
       int k = 1 + static_cast<int>(rng.next_below(3));
-      return random_k_tree(std::max(n, k + 1), k, rng.next());
+      return streaming_k_tree(std::max(n, k + 1), k, rng.next());
     }
     case 2:
       return path_graph(n);
@@ -135,7 +135,7 @@ Graph random_chordal_mix(std::uint64_t seed) {
       return random_chordal_from_clique_tree(c).graph;
     }
     case 2:
-      return random_k_tree(10 + static_cast<int>(rng.next_below(120)),
+      return streaming_k_tree(10 + static_cast<int>(rng.next_below(120)),
                            1 + static_cast<int>(rng.next_below(4)),
                            rng.next());
     default:
@@ -423,7 +423,7 @@ std::vector<ScheduleCase> build_update_schedules(std::uint64_t seed,
         break;
       }
       case 1:
-        sc.base = random_k_tree(6 + static_cast<int>(rng.next_below(36)),
+        sc.base = streaming_k_tree(6 + static_cast<int>(rng.next_below(36)),
                                 1 + static_cast<int>(rng.next_below(3)),
                                 rng.next());
         break;

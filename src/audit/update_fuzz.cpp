@@ -2,7 +2,7 @@
 //
 // A schedule is replayed as a pure function of (base graph, seed, steps):
 // every op is drawn from the schedule Rng against the *current* graph
-// state, so two replays under different execution configs (threads, cache)
+// state, so two replays under different execution configs (thread counts)
 // draw the identical op sequence and must land on the identical final
 // signature. Three op classes:
 //
@@ -20,22 +20,14 @@
 //
 // After every step, audit_dynamic_parity asserts the incrementally
 // repaired state (colors, MIS, clique family, forest) is bit-identical to
-// full recomputation on the alive-induced graph. Under config.cache a
-// BallCache rides along and is periodically rebound to a fresh snapshot,
-// reconciled purely from the facade's dirty region, and probed against
-// fresh ball collection - the dynamic contract of invalidate_touched /
-// reactivate / deactivate under real churn.
+// full recomputation on the alive-induced graph.
 #include <algorithm>
 #include <deque>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "audit/auditors.hpp"
-#include "local/ball.hpp"
-#include "local/ball_cache.hpp"
-#include "support/cachectl.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -112,44 +104,6 @@ std::vector<int> greedy_clique_around(const DynamicGraph& g, int u, Rng& rng) {
   return clique;
 }
 
-/// Keeps a riding BallCache coherent with the facade using only the dirty
-/// region, then probes cached balls against fresh collection.
-void sync_and_probe_cache(DynamicChordal& dc, Graph& snap,
-                          std::unique_ptr<local::BallCache>& cache, Rng& rng) {
-  snap = dc.materialize();
-  cache->rebind(snap);
-  cache->invalidate_touched(dc.touched());
-  std::vector<int> on, off;
-  for (int v = 0; v < dc.graph().num_slots(); ++v) {
-    bool want = dc.graph().alive(v);
-    bool have = cache->active()[static_cast<std::size_t>(v)] != 0;
-    if (want && !have) on.push_back(v);
-    if (!want && have) off.push_back(v);
-  }
-  cache->reactivate(on);
-  cache->deactivate(off);
-  dc.drain_touched();
-  std::vector<int> alive = dc.graph().alive_vertices();
-  if (alive.empty()) return;
-  for (int probe = 0; probe < 4; ++probe) {
-    int v = pick(alive, rng);
-    int radius = 1 + static_cast<int>(rng.next_below(3));
-    local::Ball fresh =
-        local::collect_ball(snap, v, radius, &cache->active(), nullptr);
-    const local::Ball& got = cache->shard(0).collect_ball(v, radius);
-    if (fresh.vertices != got.vertices || fresh.dist != got.dist) {
-      fail("riding BallCache serves fresh-identical balls under churn",
-           "center " + std::to_string(v) + " radius " +
-               std::to_string(radius) + " after " +
-               std::to_string(dc.stats().edge_inserts +
-                              dc.stats().edge_deletes +
-                              dc.stats().vertex_inserts +
-                              dc.stats().vertex_deletes) +
-               " updates");
-    }
-  }
-}
-
 std::string dyn_summary(const DynamicChordal& dc) {
   const DynamicStats& s = dc.stats();
   return "alive " + std::to_string(dc.graph().num_alive()) + ", edges " +
@@ -162,7 +116,6 @@ std::string dyn_summary(const DynamicChordal& dc) {
 struct KnobGuard {
   ~KnobGuard() {
     support::set_num_threads(0);
-    support::set_cache_enabled(-1);
   }
 };
 
@@ -191,19 +144,11 @@ UpdateScheduleStats run_update_schedule_audit(
     const DriverAuditConfig& config, DynamicChordal::Signature* final_sig) {
   KnobGuard restore;
   support::set_num_threads(config.threads);
-  support::set_cache_enabled(config.cache ? 1 : 0);
 
   DynamicChordal dc(base);
   audit_dynamic_parity(dc);
-  Graph snap = dc.materialize();
-  auto cache = std::make_unique<local::BallCache>(snap, config.cache);
-  dc.drain_touched();
 
   Rng rng(seed ^ 0xdf11a1c5u);
-  // The op stream must be identical across every execution config, so the
-  // cache probes (which only run when config.cache is set) draw from their
-  // own generator.
-  Rng probe_rng(seed ^ 0xba11cac4eULL);
   UpdateScheduleStats stats;
   // Recently deleted edges, re-insertable as guaranteed-interesting moves.
   std::deque<std::pair<int, int>> deleted_edges;
@@ -381,9 +326,6 @@ UpdateScheduleStats run_update_schedule_audit(
     }
 
     audit_dynamic_parity(dc);
-    if (config.cache && (step % 5 == 4 || step + 1 == steps)) {
-      sync_and_probe_cache(dc, snap, cache, probe_rng);
-    }
   }
 
   if (final_sig != nullptr) *final_sig = dc.signature();
@@ -396,16 +338,13 @@ int run_update_schedule_matrix(const Graph& base, std::uint64_t seed,
   std::vector<std::string> labels;
   int configs = 0;
   for (int threads : {1, 8}) {
-    for (bool cache : {true, false}) {
-      DriverAuditConfig config;
-      config.threads = threads;
-      config.cache = cache;
-      DynamicChordal::Signature sig;
-      run_update_schedule_audit(base, seed, steps, config, &sig);
-      sigs.push_back(std::move(sig));
-      labels.push_back(config.label());
-      ++configs;
-    }
+    DriverAuditConfig config;
+    config.threads = threads;
+    DynamicChordal::Signature sig;
+    run_update_schedule_audit(base, seed, steps, config, &sig);
+    sigs.push_back(std::move(sig));
+    labels.push_back(config.label());
+    ++configs;
   }
   for (std::size_t i = 1; i < sigs.size(); ++i) {
     if (!(sigs[i] == sigs[0])) {

@@ -216,8 +216,10 @@ int interval_distance(const PathIntervals& rep, const std::vector<int>& far,
 
 }  // namespace
 
-int path_diameter_from_intervals(const Graph& g, const PathIntervals& rep,
-                                 PathScratch& scratch) {
+int path_diameter(const Graph& g, const CliqueForest& forest,
+                  const ForestPath& path, PathScratch& scratch) {
+  path_intervals(forest, path, scratch, scratch.rep);
+  const PathIntervals& rep = scratch.rep;
   if (rep.vertices.size() <= 1) return 0;
   // Diametral pair of a connected interval graph: the interval ending first
   // vs. the interval starting last (verified against all-pairs BFS by the
@@ -239,19 +241,15 @@ int path_diameter_from_intervals(const Graph& g, const PathIntervals& rep,
 }
 
 int path_diameter(const Graph& g, const CliqueForest& forest,
-                  const ForestPath& path, PathScratch& scratch) {
-  path_intervals(forest, path, scratch, scratch.rep);
-  return path_diameter_from_intervals(g, scratch.rep, scratch);
-}
-
-int path_diameter(const Graph& g, const CliqueForest& forest,
                   const ForestPath& path) {
   thread_local PathScratch scratch;
   return path_diameter(g, forest, path, scratch);
 }
 
-int path_independence_from_intervals(const PathIntervals& rep,
-                                     PathScratch& scratch) {
+int path_independence(const CliqueForest& forest, const ForestPath& path,
+                      PathScratch& scratch) {
+  path_intervals(forest, path, scratch, scratch.rep);
+  const PathIntervals& rep = scratch.rep;
   scratch.order.resize(rep.vertices.size());
   for (std::size_t i = 0; i < scratch.order.size(); ++i) scratch.order[i] = i;
   std::sort(scratch.order.begin(), scratch.order.end(),
@@ -267,12 +265,6 @@ int path_independence_from_intervals(const PathIntervals& rep,
     }
   }
   return count;
-}
-
-int path_independence(const CliqueForest& forest, const ForestPath& path,
-                      PathScratch& scratch) {
-  path_intervals(forest, path, scratch, scratch.rep);
-  return path_independence_from_intervals(scratch.rep, scratch);
 }
 
 int path_independence(const CliqueForest& forest, const ForestPath& path) {

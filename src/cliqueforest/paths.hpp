@@ -105,14 +105,4 @@ int path_diameter(const Graph& g, const CliqueForest& forest,
 int path_independence(const CliqueForest& forest, const ForestPath& path,
                       PathScratch& scratch);
 
-/// Metric stages that start from an already built interval model (the
-/// second half of path_diameter / path_independence). Exposed so
-/// cliqueforest/path_cache can serve metrics from memoized intervals
-/// without re-deriving the model; composing path_intervals with these is
-/// exactly the one-shot metric functions.
-int path_diameter_from_intervals(const Graph& g, const PathIntervals& rep,
-                                 PathScratch& scratch);
-int path_independence_from_intervals(const PathIntervals& rep,
-                                     PathScratch& scratch);
-
 }  // namespace chordal

@@ -18,23 +18,6 @@ DynamicChordal::DynamicChordal(const Graph& g) : graph_(g) {
   labels_.reset(graph_);
 }
 
-void DynamicChordal::mark_touched(int v) {
-  if (touch_stamp_.size() < static_cast<std::size_t>(graph_.num_slots())) {
-    touch_stamp_.resize(static_cast<std::size_t>(graph_.num_slots()), 0);
-  }
-  auto vi = static_cast<std::size_t>(v);
-  if (touch_stamp_[vi] == touch_epoch_) return;
-  touch_stamp_[vi] = touch_epoch_;
-  touched_.push_back(v);
-}
-
-void DynamicChordal::drain_touched() {
-  touched_.clear();
-  revived_.clear();
-  killed_.clear();
-  ++touch_epoch_;
-}
-
 std::vector<int> DynamicChordal::sorted_common_neighbors(int u, int v) const {
   std::vector<int> out;
   auto nu = graph_.neighbors(u);
@@ -170,8 +153,6 @@ void DynamicChordal::insert_edge(int u, int v) {
   LabelRepairStats ls = labels_.repair(graph_, seeds);
   ++stats_.edge_inserts;
   absorb(fs, ls);
-  mark_touched(u);
-  mark_touched(v);
 }
 
 void DynamicChordal::delete_edge(int u, int v) {
@@ -197,8 +178,6 @@ void DynamicChordal::delete_edge(int u, int v) {
   LabelRepairStats ls = labels_.repair(graph_, seeds);
   ++stats_.edge_deletes;
   absorb(fs, ls);
-  mark_touched(u);
-  mark_touched(v);
 }
 
 int DynamicChordal::insert_vertex(std::span<const int> neighbors) {
@@ -259,9 +238,6 @@ int DynamicChordal::insert_vertex(std::span<const int> neighbors) {
   LabelRepairStats ls = labels_.repair(graph_, seed_buf_);
   ++stats_.vertex_inserts;
   absorb(fs, ls);
-  for (int w : x) mark_touched(w);
-  mark_touched(z);
-  revived_.push_back(z);
   return z;
 }
 
@@ -278,8 +254,6 @@ void DynamicChordal::delete_vertex(int v) {
   LabelRepairStats ls = labels_.repair(graph_, seed_buf_);
   ++stats_.vertex_deletes;
   absorb(fs, ls);
-  for (int w : seed_buf_) mark_touched(w);
-  killed_.push_back(v);
 }
 
 DynamicChordal::Signature DynamicChordal::signature() const {

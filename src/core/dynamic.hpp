@@ -17,12 +17,6 @@
 // path edge whose intersection is inside S proves separation in
 // O(path * omega) - no graph BFS; only would-be rejections (and the rare
 // miss) pay the oracle, which then also extracts the witness cycle.
-//
-// Cache integration: the facade does not own a BallCache (snapshots are the
-// serving layer's business) but reports the dirty region since the last
-// drain - adjacency-touched slots, revived slots, killed slots - which is
-// exactly what BallCache::invalidate_touched / reactivate / deactivate
-// consume after a rebind to a fresh materialize() snapshot.
 #pragma once
 
 #include <cstdint>
@@ -86,15 +80,6 @@ class DynamicChordal {
   Graph materialize() const { return graph_.materialize(); }
   const DynamicStats& stats() const { return stats_; }
 
-  // Dirty region since the last drain_touched(), deduplicated, unordered:
-  // slots whose adjacency changed (endpoints / neighbors of vertex ops),
-  // slots revived from the free list, slots killed. Consumed by cache
-  // maintenance layers.
-  std::span<const int> touched() const { return touched_; }
-  std::span<const int> revived() const { return revived_; }
-  std::span<const int> killed() const { return killed_; }
-  void drain_touched();
-
   /// Canonical snapshot of every derived structure, in slot ids: the parity
   /// surface the audits compare against full recomputation.
   struct Signature {
@@ -113,7 +98,6 @@ class DynamicChordal {
   static Signature recompute_signature(const DynamicGraph& g);
 
  private:
-  void mark_touched(int v);
   /// Forest-path separation certificate; true proves G+uv stays chordal.
   bool edge_insert_fastpath(int u, int v, std::span<const int> common);
   std::vector<int> sorted_common_neighbors(int u, int v) const;
@@ -132,9 +116,6 @@ class DynamicChordal {
   std::vector<std::int32_t> fparent_;
   std::vector<std::int32_t> fqueue_;
 
-  std::vector<int> touched_, revived_, killed_;
-  std::vector<std::uint64_t> touch_stamp_;
-  std::uint64_t touch_epoch_ = 1;
   std::vector<int> seed_buf_;
 };
 

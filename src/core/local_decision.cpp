@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
-
 #include <string>
 
 #include "cliqueforest/local_view.hpp"
 #include "graph/diameter.hpp"
-#include "local/ball_cache.hpp"
 #include "local/workspace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -35,10 +33,13 @@ struct ChainAnalysis {
   int independence = 0;
 };
 
-/// One worker's reusable state for the per-node decision loop: every
-/// view-sized buffer analyze_chain needs (the ball workspace lives in the
-/// worker's BallCache shard).
+/// One worker's reusable state for the per-node decision loop: the ball
+/// workspace and local view, plus every view-sized buffer analyze_chain
+/// needs. Warm across all iterations, so steady-state decisions allocate
+/// nothing.
 struct DecisionScratch {
+  local::BallWorkspace ws;
+  LocalView view;
   SubsetSweepScratch sweep;
   std::vector<int> adj_off, adj_cursor, adj_list;  // view-forest CSR
   std::vector<int> family;
@@ -50,19 +51,29 @@ struct DecisionScratch {
   std::vector<std::pair<int, int>> ranges;
 };
 
-/// The analysis replay slot for one vertex: while the vertex's cached ball
-/// is untouched (same entry revision), the whole chain analysis - a pure
-/// function of the ball - replays with zero work.
-struct AnalysisMemo {
-  std::uint64_t revision = 0;
-  bool valid = false;
-  ChainAnalysis analysis;
-};
+/// One worker scratch per thread. Under an obs::Tracer each worker's
+/// workspace stages its library events (per-family forest builds) in that
+/// worker's Tracer::worker ring; the driver merges the rings in worker
+/// order after each region, so streams are identical at any thread count.
+std::vector<DecisionScratch> worker_scratch(obs::Tracer* tracer) {
+  const auto workers = static_cast<std::size_t>(support::num_threads());
+  std::vector<DecisionScratch> scratch(workers);
+  if (tracer != nullptr) {
+    tracer->ensure_workers(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      scratch[w].ws.trace = &tracer->worker(w);
+    }
+  }
+  return scratch;
+}
 
-ChainAnalysis analyze_view(const Graph& g, int v, int radius,
-                           const LocalView& view,
-                           local::BallCache::Shard& shard,
-                           DecisionScratch& s) {
+/// Collects v's distance-`radius` ball in the active subgraph, rebuilds its
+/// local view (Lemma 2) and analyzes the chain around T(v) from it.
+ChainAnalysis analyze_chain(const Graph& g, int v, int radius,
+                            const std::vector<char>& active,
+                            DecisionScratch& s) {
+  local::compute_local_view(g, v, radius, &active, s.ws, s.view);
+  const LocalView& view = s.view;
   ChainAnalysis analysis;
   const int m = static_cast<int>(view.cliques.size());
   // View-forest adjacency, flat CSR. Filling edge-by-edge with per-clique
@@ -91,7 +102,7 @@ ChainAnalysis analyze_view(const Graph& g, int v, int radius,
   auto clique_maxdist = [&](int c) {
     int far = 0;
     for (VertexId u : view.cliques[c]) {
-      far = std::max(far, shard.ball_dist(static_cast<int>(u)));
+      far = std::max(far, s.ws.last_ball_dist(static_cast<int>(u)));
     }
     return far;
   };
@@ -262,32 +273,11 @@ ChainAnalysis analyze_view(const Graph& g, int v, int radius,
   return analysis;
 }
 
-/// Analysis through the ball cache: a full view hit with an up-to-date memo
-/// replays the stored analysis; everything else recomputes from the (cached
-/// or rebuilt) view and refreshes the memo.
-ChainAnalysis analyze_chain(const Graph& g, int v, int radius,
-                            local::BallCache::Shard& shard,
-                            AnalysisMemo* memo, DecisionScratch& s) {
-  local::BallCache::ViewRef ref = shard.local_view(v, radius);
-  if (memo != nullptr && memo->valid && ref.hit &&
-      memo->revision == ref.revision) {
-    return memo->analysis;
-  }
-  if (ref.hit) shard.ensure_dists(v);  // analyze_view reads ball distances
-  ChainAnalysis analysis = analyze_view(g, v, radius, *ref.view, shard, s);
-  if (memo != nullptr) {
-    memo->revision = ref.revision;
-    memo->valid = true;
-    memo->analysis = analysis;
-  }
-  return analysis;
-}
-
 /// One node's coloring-mode pruning decision (threshold: diam >= 3k).
 bool decide_locally(const Graph& g, int v, int radius, int k,
-                    bool* used_horizon, local::BallCache::Shard& shard,
-                    AnalysisMemo* memo, DecisionScratch& scratch) {
-  ChainAnalysis a = analyze_chain(g, v, radius, shard, memo, scratch);
+                    bool* used_horizon, const std::vector<char>& active,
+                    DecisionScratch& scratch) {
+  ChainAnalysis a = analyze_chain(g, v, radius, active, scratch);
   if (!a.family_binary) return false;
   if (a.ends[0] == EndKind::kLeaf || a.ends[1] == EndKind::kLeaf) return true;
   if (a.ends[0] == EndKind::kHorizon || a.ends[1] == EndKind::kHorizon) {
@@ -302,9 +292,9 @@ bool decide_locally(const Graph& g, int v, int radius, int k,
 /// One node's MIS-mode pruning decision: pendant always; internal paths by
 /// diam >= 2d+3 (early iterations) or alpha >= d (the final iteration).
 bool decide_locally_mis(const Graph& g, int v, int radius, int d,
-                        bool last_round, local::BallCache::Shard& shard,
-                        AnalysisMemo* memo, DecisionScratch& scratch) {
-  ChainAnalysis a = analyze_chain(g, v, radius, shard, memo, scratch);
+                        bool last_round, const std::vector<char>& active,
+                        DecisionScratch& scratch) {
+  ChainAnalysis a = analyze_chain(g, v, radius, active, scratch);
   if (!a.family_binary) return false;
   if (a.ends[0] == EndKind::kLeaf || a.ends[1] == EndKind::kLeaf) return true;
   if (a.ends[0] == EndKind::kHorizon || a.ends[1] == EndKind::kHorizon) {
@@ -314,6 +304,57 @@ bool decide_locally_mis(const Graph& g, int v, int radius, int d,
     return true;
   }
   return last_round ? a.independence >= d : a.diameter >= 2 * d + 3;
+}
+
+/// The audit loop shared by both modes: replays the peeling's activity
+/// masks and compares every `stride`-th active vertex's local decision,
+/// decide(v, iter, active, scratch, &used_horizon), with its global layer.
+/// The masks are monotone - every vertex leaves once, right after its own
+/// layer, and layer-0 vertices (never peeled, MIS mode) stay active - so
+/// one mask is fed the per-iteration deactivation delta.
+template <class Decide>
+LocalDecisionAudit audit_decisions(const Graph& g,
+                                   const PeelingResult& peeling, int stride,
+                                   Decide decide) {
+  LocalDecisionAudit audit;
+  const int n = g.num_vertices();
+  const int step = std::max(1, stride);
+  obs::Tracer* tracer = obs::tracer();
+  std::vector<DecisionScratch> scratch = worker_scratch(tracer);
+  std::vector<char> active(static_cast<std::size_t>(n), 1);
+  std::vector<char> local(static_cast<std::size_t>(n), 0);
+  std::vector<char> horizon(static_cast<std::size_t>(n), 0);
+  for (int iter = 1; iter <= peeling.num_layers; ++iter) {
+    if (iter > 1) {
+      for (int u = 0; u < n; ++u) {
+        if (peeling.layer_of[u] == iter - 1) active[u] = 0;
+      }
+    }
+    support::parallel_for_ranges(
+        static_cast<std::size_t>(n),
+        [&](std::size_t begin, std::size_t end, std::size_t worker) {
+          DecisionScratch& s = scratch[worker];
+          for (std::size_t i = begin; i < end; ++i) {
+            int v = static_cast<int>(i);
+            if (v % step != 0 || !active[v]) continue;
+            bool used_horizon = false;
+            local[i] = decide(v, iter, active, s, &used_horizon) ? 1 : 0;
+            horizon[i] = used_horizon ? 1 : 0;
+          }
+        });
+    if (tracer != nullptr) tracer->merge_workers();
+    for (int v = 0; v < n; v += step) {
+      if (!active[v]) continue;
+      bool removed_locally = local[v] != 0;
+      bool removed_globally = peeling.layer_of[v] == iter;
+      obs::trace_emit(nullptr, obs::TraceEventKind::kAuditDecision, v, iter,
+                      removed_locally ? 1 : 0, removed_globally ? 1 : 0);
+      ++audit.decisions_checked;
+      if (horizon[v]) ++audit.horizon_hits;
+      if (removed_locally != removed_globally) ++audit.mismatches;
+    }
+  }
+  return audit;
 }
 
 }  // namespace
@@ -327,26 +368,13 @@ PeelingResult peel_with_local_decisions(const Graph& g,
   std::vector<char> active_clique(static_cast<std::size_t>(m), 1);
   int remaining = g.num_vertices();
   int iteration_cap = 4 * (32 - __builtin_clz(std::max(2, g.num_vertices())));
-  // One reusable scratch per worker, warm across all iterations; balls and
-  // views persist between iterations in the cache, and the per-vertex memo
-  // replays whole decisions while a vertex's ball is untouched.
-  std::vector<DecisionScratch> scratch(
-      static_cast<std::size_t>(support::num_threads()));
-  local::BallCache cache(g);
-  const std::vector<char>& active_vertex = cache.active();
-  std::vector<AnalysisMemo> memo(static_cast<std::size_t>(g.num_vertices()));
-  std::vector<int> peeled;
-  // Event tracing: each worker's cache/forest/decision events stage in its
-  // Tracer::worker ring (wired through the shard workspace for library
-  // sites) and merge in worker order after each region - bit-identical
-  // streams at any thread count.
+  // Every node rebuilds its ball and view from scratch at every iteration,
+  // as in Algorithm 3, through its worker's reusable scratch. Decision
+  // events stage in the worker's Tracer ring next to the library events.
   obs::Tracer* tracer = obs::tracer();
-  if (tracer != nullptr) {
-    tracer->ensure_workers(static_cast<std::size_t>(support::num_threads()));
-    for (std::size_t w = 0; w < cache.num_shards(); ++w) {
-      cache.shard(w).workspace().trace = &tracer->worker(w);
-    }
-  }
+  std::vector<DecisionScratch> scratch = worker_scratch(tracer);
+  std::vector<char> active_vertex(static_cast<std::size_t>(g.num_vertices()),
+                                  1);
 
   for (int iter = 1; remaining > 0; ++iter) {
     if (iter > iteration_cap) {
@@ -377,15 +405,14 @@ PeelingResult peel_with_local_decisions(const Graph& g,
         static_cast<std::size_t>(g.num_vertices()),
         [&](std::size_t begin, std::size_t end, std::size_t worker) {
           DecisionScratch& s = scratch[worker];
-          local::BallCache::Shard& shard = cache.shard(worker);
           obs::TraceBuf* tb =
               tracer != nullptr ? &tracer->worker(worker) : nullptr;
           for (std::size_t i = begin; i < end; ++i) {
             int v = static_cast<int>(i);
             if (!active_vertex[v]) continue;
             ++worker_views[worker];
-            bool remove = decide_locally(g, v, radius, k, nullptr, shard,
-                                         &memo[i], s);
+            bool remove =
+                decide_locally(g, v, radius, k, nullptr, active_vertex, s);
             if (remove) removed[v] = 1;
             obs::trace_emit(tb, obs::TraceEventKind::kLocalDecision, v, iter,
                             remove ? 1 : 0);
@@ -440,7 +467,6 @@ PeelingResult peel_with_local_decisions(const Graph& g,
     if (taken.empty()) {
       throw std::logic_error("peel_with_local_decisions: no progress");
     }
-    peeled.clear();
     for (const auto& lp : taken) {
       obs::trace_emit(nullptr, obs::TraceEventKind::kPeelDecision,
                       lp.path.cliques.empty() ? -1 : lp.path.cliques.front(),
@@ -448,13 +474,12 @@ PeelingResult peel_with_local_decisions(const Graph& g,
                       static_cast<std::int64_t>(lp.owned.size()));
       for (int v : lp.owned) {
         result.layer_of[v] = iter;
-        peeled.push_back(v);
+        active_vertex[v] = 0;
         --remaining;
         obs::trace_emit(nullptr, obs::TraceEventKind::kPeelCommit, v, iter);
       }
       for (int c : lp.path.cliques) active_clique[c] = 0;
     }
-    cache.deactivate(peeled);
     result.layers.push_back(std::move(taken));
     result.num_layers = iter;
   }
@@ -462,142 +487,28 @@ PeelingResult peel_with_local_decisions(const Graph& g,
 }
 
 LocalDecisionAudit audit_local_pruning(const Graph& g,
-                                       const CliqueForest& forest,
                                        const PeelingResult& peeling, int k,
                                        int stride) {
-  (void)forest;
-  LocalDecisionAudit audit;
   const int radius = 10 * k;
-  const int n = g.num_vertices();
-  const int step = std::max(1, stride);
-  std::vector<DecisionScratch> scratch(
-      static_cast<std::size_t>(support::num_threads()));
-  // The audited masks are monotone (layer_of >= iter only shrinks with
-  // iter, and every vertex has layer_of >= 1), so the cache starts
-  // all-active and is fed the per-iteration deactivation delta. Work is
-  // partitioned by vertex index - not candidate rank - so each vertex keeps
-  // its shard for the whole audit regardless of how the mask shrinks.
-  local::BallCache cache(g);
-  std::vector<AnalysisMemo> memo(static_cast<std::size_t>(n));
-  std::vector<char> local(static_cast<std::size_t>(n), 0);
-  std::vector<char> horizon(static_cast<std::size_t>(n), 0);
-  std::vector<int> expired;
-  const std::vector<char>& active = cache.active();
-  obs::Tracer* tracer = obs::tracer();
-  if (tracer != nullptr) {
-    tracer->ensure_workers(static_cast<std::size_t>(support::num_threads()));
-    for (std::size_t w = 0; w < cache.num_shards(); ++w) {
-      cache.shard(w).workspace().trace = &tracer->worker(w);
-    }
-  }
-  for (int iter = 1; iter <= peeling.num_layers; ++iter) {
-    if (iter > 1) {
-      expired.clear();
-      for (int u = 0; u < n; ++u) {
-        if (peeling.layer_of[u] == iter - 1) expired.push_back(u);
-      }
-      cache.deactivate(expired);
-    }
-    support::parallel_for_ranges(
-        static_cast<std::size_t>(n),
-        [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          DecisionScratch& s = scratch[worker];
-          local::BallCache::Shard& shard = cache.shard(worker);
-          for (std::size_t i = begin; i < end; ++i) {
-            int v = static_cast<int>(i);
-            if (v % step != 0 || !active[v]) continue;
-            bool hit = false;
-            local[i] =
-                decide_locally(g, v, radius, k, &hit, shard, &memo[i], s)
-                    ? 1
-                    : 0;
-            horizon[i] = hit ? 1 : 0;
-          }
-        });
-    if (tracer != nullptr) tracer->merge_workers();
-    for (int v = 0; v < n; v += step) {
-      if (!active[v]) continue;
-      bool removed_locally = local[v] != 0;
-      bool removed_globally = peeling.layer_of[v] == iter;
-      obs::trace_emit(nullptr, obs::TraceEventKind::kAuditDecision, v, iter,
-                      removed_locally ? 1 : 0, removed_globally ? 1 : 0);
-      ++audit.decisions_checked;
-      if (horizon[v]) ++audit.horizon_hits;
-      if (removed_locally != removed_globally) {
-        ++audit.mismatches;
-#ifdef CHORDAL_AUDIT_TRACE
-        std::fprintf(stderr, "audit mismatch: v=%d iter=%d local=%d global=%d\n",
-                     v, iter, removed_locally ? 1 : 0,
-                     removed_globally ? 1 : 0);
-#endif
-      }
-    }
-  }
-  return audit;
+  return audit_decisions(
+      g, peeling, stride,
+      [&](int v, int, const std::vector<char>& active, DecisionScratch& s,
+          bool* used_horizon) {
+        return decide_locally(g, v, radius, k, used_horizon, active, s);
+      });
 }
 
 LocalDecisionAudit audit_local_pruning_mis(const Graph& g,
-                                           const CliqueForest& forest,
                                            const PeelingResult& peeling,
                                            int d, int stride) {
-  (void)forest;
-  LocalDecisionAudit audit;
   const int radius = 4 * d + 10;
-  const int n = g.num_vertices();
-  const int step = std::max(1, stride);
-  std::vector<DecisionScratch> scratch(
-      static_cast<std::size_t>(support::num_threads()));
-  // MIS masks are monotone too: layer-0 vertices stay active forever, the
-  // rest leave exactly once at their layer. The memoized chain analysis is
-  // decision-independent, so it replays across the last_round flip - only
-  // the threshold applied to it changes.
-  local::BallCache cache(g);
-  std::vector<AnalysisMemo> memo(static_cast<std::size_t>(n));
-  std::vector<char> local(static_cast<std::size_t>(n), 0);
-  std::vector<int> expired;
-  const std::vector<char>& active = cache.active();
-  obs::Tracer* tracer = obs::tracer();
-  if (tracer != nullptr) {
-    tracer->ensure_workers(static_cast<std::size_t>(support::num_threads()));
-    for (std::size_t w = 0; w < cache.num_shards(); ++w) {
-      cache.shard(w).workspace().trace = &tracer->worker(w);
-    }
-  }
-  for (int iter = 1; iter <= peeling.num_layers; ++iter) {
-    bool last_round = iter == peeling.num_layers;
-    if (iter > 1) {
-      expired.clear();
-      for (int u = 0; u < n; ++u) {
-        if (peeling.layer_of[u] == iter - 1) expired.push_back(u);
-      }
-      cache.deactivate(expired);
-    }
-    support::parallel_for_ranges(
-        static_cast<std::size_t>(n),
-        [&](std::size_t begin, std::size_t end, std::size_t worker) {
-          DecisionScratch& s = scratch[worker];
-          local::BallCache::Shard& shard = cache.shard(worker);
-          for (std::size_t i = begin; i < end; ++i) {
-            int v = static_cast<int>(i);
-            if (v % step != 0 || !active[v]) continue;
-            local[i] = decide_locally_mis(g, v, radius, d, last_round, shard,
-                                          &memo[i], s)
-                           ? 1
-                           : 0;
-          }
-        });
-    if (tracer != nullptr) tracer->merge_workers();
-    for (int v = 0; v < n; v += step) {
-      if (!active[v]) continue;
-      bool removed_locally = local[v] != 0;
-      bool removed_globally = peeling.layer_of[v] == iter;
-      obs::trace_emit(nullptr, obs::TraceEventKind::kAuditDecision, v, iter,
-                      removed_locally ? 1 : 0, removed_globally ? 1 : 0);
-      ++audit.decisions_checked;
-      if (removed_locally != removed_globally) ++audit.mismatches;
-    }
-  }
-  return audit;
+  return audit_decisions(
+      g, peeling, stride,
+      [&](int v, int iter, const std::vector<char>& active,
+          DecisionScratch& s, bool*) {
+        return decide_locally_mis(g, v, radius, d,
+                                  iter == peeling.num_layers, active, s);
+      });
 }
 
 }  // namespace chordal::core

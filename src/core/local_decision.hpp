@@ -31,7 +31,6 @@ struct LocalDecisionAudit {
 /// iteration from its distance-(10k) ball and counts disagreements with the
 /// global result (expected: zero). Coloring-mode peelings only.
 LocalDecisionAudit audit_local_pruning(const Graph& g,
-                                       const CliqueForest& forest,
                                        const PeelingResult& peeling, int k,
                                        int stride = 1);
 
@@ -41,7 +40,6 @@ LocalDecisionAudit audit_local_pruning(const Graph& g,
 /// peeling (vertices with layer 0 were never peeled and stay active
 /// throughout).
 LocalDecisionAudit audit_local_pruning_mis(const Graph& g,
-                                           const CliqueForest& forest,
                                            const PeelingResult& peeling,
                                            int d, int stride = 1);
 

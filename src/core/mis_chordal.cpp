@@ -59,16 +59,10 @@ MisResult mis_chordal(const Graph& g, const MisOptions& options) {
   config.mode = PeelMode::kIndependentSet;
   config.d = result.d;
   config.max_iterations = result.iterations;
-  // One metric cache across peeling and the layer solves: the peel
-  // thresholds materialize exactly the interval models the per-layer solves
-  // re-derive for the taken paths.
-  PathMetricCache path_cache;
-  std::vector<PathMetricCache::WorkerLog> metric_logs(
-      static_cast<std::size_t>(support::num_threads()));
   PeelingResult peeling;
   {
     obs::Span peel_span("pruning: O(log(1/eps)) peel iterations (Lemma 14)");
-    peeling = peel(g, forest, config, &path_cache);
+    peeling = peel(g, forest, config);
     peel_span.note("layers", peeling.num_layers);
   }
 
@@ -122,8 +116,8 @@ MisResult mis_chordal(const Graph& g, const MisOptions& options) {
       const auto& lp = layer[pi];
       PathOutcome& out = outcomes[pi];
       PathScratch& ps = scratch[worker];
-      const PathIntervals& full = *cached_path_intervals(
-          forest, lp.path, ps, ps.rep, path_cache, metric_logs[worker]);
+      path_intervals(forest, lp.path, ps, ps.rep);
+      const PathIntervals& full = ps.rep;
       // Eligible = owned vertices with no neighbor already chosen.
       std::vector<std::size_t> eligible;
       for (std::size_t i = 0; i < full.vertices.size(); ++i) {
@@ -185,7 +179,6 @@ MisResult mis_chordal(const Graph& g, const MisOptions& options) {
         for (std::size_t i : picked_local) picks.push_back(sub.vertices[i]);
       }
     });
-    path_cache.merge(metric_logs);
     std::int64_t layer_msg_count = 0, layer_msg_words = 0;
     for (const PathOutcome& out : outcomes) {
       result.absorbing_components += out.absorbing;

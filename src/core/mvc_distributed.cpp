@@ -67,12 +67,6 @@ struct Engine {
   MvcResult result;
   CliqueForest forest;
   PeelingResult peeling;
-  // Shared across all three phases: the peeling thresholds, the layer
-  // coloring, and the correction windows all derive the same per-path
-  // interval models (pure functions of the clique sequence), so one
-  // content-keyed cache serves the whole run.
-  PathMetricCache path_cache;
-  std::vector<PathMetricCache::WorkerLog> metric_logs;
   // Per-vertex completion time of the current phase (LOCAL clocks).
   std::vector<std::int64_t> clock;
   // Telemetry (populated only when an obs::Registry is installed):
@@ -85,8 +79,7 @@ struct Engine {
       : g(graph),
         options(opts),
         bw(local::current_bandwidth()),
-        forest(CliqueForest::build(graph)),
-        metric_logs(static_cast<std::size_t>(support::num_threads())) {}
+        forest(CliqueForest::build(graph)) {}
 
   /// Transfer rounds for a `words`-sized logical message: 0 under LOCAL,
   /// ceil(words / B) under CONGEST.
@@ -119,7 +112,7 @@ struct Engine {
         PeelConfig config;
         config.mode = PeelMode::kColoring;
         config.k = result.k;
-        peeling = peel(g, forest, config, &path_cache);
+        peeling = peel(g, forest, config);
       }
       result.num_layers = peeling.num_layers;
 
@@ -231,9 +224,8 @@ struct Engine {
           const int unit_layer = units[idx].second;
           obs::TraceBuf* tb =
               tracer != nullptr ? &tracer->worker(worker) : nullptr;
-          const PathIntervals& full = *cached_path_intervals(
-              forest, lp.path, t.scratch, t.full, path_cache,
-              metric_logs[worker]);
+          path_intervals(forest, lp.path, t.scratch, t.full);
+          const PathIntervals& full = t.full;
           std::vector<std::size_t> owned_idx;
           for (std::size_t i = 0; i < full.vertices.size(); ++i) {
             if (std::binary_search(lp.owned.begin(), lp.owned.end(),
@@ -275,7 +267,6 @@ struct Engine {
           }
         });
     if (tracer != nullptr) tracer->merge_workers();
-    path_cache.merge(metric_logs);
     merge_tallies(tally);
   }
 
@@ -299,11 +290,9 @@ struct Engine {
           paths.size(), [&](std::size_t i, std::size_t worker) {
             obs::TraceBuf* tb =
                 tracer != nullptr ? &tracer->worker(worker) : nullptr;
-            correct_path(paths[i], layer, tb, tally[worker],
-                         metric_logs[worker]);
+            correct_path(paths[i], layer, tb, tally[worker]);
           });
       if (tracer != nullptr) tracer->merge_workers();
-      path_cache.merge(metric_logs);
     }
     merge_tallies(tally);
   }
@@ -322,9 +311,9 @@ struct Engine {
   }
 
   void correct_path(const LayerPath& lp, int layer, obs::TraceBuf* tb,
-                    WorkerTally& t, PathMetricCache::WorkerLog& log) {
-    const PathIntervals& full = *cached_path_intervals(
-        forest, lp.path, t.scratch, t.full, path_cache, log);
+                    WorkerTally& t) {
+    path_intervals(forest, lp.path, t.scratch, t.full);
+    const PathIntervals& full = t.full;
     const std::size_t n = full.vertices.size();
     std::vector<char> is_owned(n, 0);
     for (std::size_t i = 0; i < n; ++i) {

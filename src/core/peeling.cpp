@@ -12,7 +12,7 @@
 namespace chordal::core {
 
 PeelingResult peel(const Graph& g, const CliqueForest& forest,
-                   const PeelConfig& config, PathMetricCache* metrics) {
+                   const PeelConfig& config) {
   if (config.mode == PeelMode::kColoring && config.k < 2) {
     throw std::invalid_argument("peel: coloring mode requires k >= 2");
   }
@@ -33,15 +33,8 @@ PeelingResult peel(const Graph& g, const CliqueForest& forest,
                 ? 2 * static_cast<int>(std::ceil(std::log2(
                           std::max(2, g.num_vertices())))) + 4
                 : config.max_iterations;
-  // One metric scratch per worker, warm across all iterations. Surviving
-  // paths hit the metric cache (their clique sequences are unchanged, see
-  // Lemma 5); workers buffer computed entries in per-worker logs that are
-  // merged in worker order after each parallel region.
+  // One metric scratch per worker, warm across all iterations.
   std::vector<PathScratch> scratch(
-      static_cast<std::size_t>(support::num_threads()));
-  PathMetricCache own_metrics;
-  PathMetricCache& cache = metrics != nullptr ? *metrics : own_metrics;
-  std::vector<PathMetricCache::WorkerLog> logs(
       static_cast<std::size_t>(support::num_threads()));
 
   for (int iter = 1; active_count > 0 && iter <= cap; ++iter) {
@@ -70,14 +63,13 @@ PeelingResult peel(const Graph& g, const CliqueForest& forest,
           if (path.pendant) {
             take = true;
           } else if (config.mode == PeelMode::kColoring) {
-            take = cached_path_diameter(g, forest, path, scratch[worker],
-                                        cache, logs[worker]) >= 3 * config.k;
+            take = path_diameter(g, forest, path, scratch[worker]) >=
+                   3 * config.k;
           } else if (last_mis_round) {
-            take = cached_path_independence(forest, path, scratch[worker],
-                                            cache, logs[worker]) >= config.d;
+            take = path_independence(forest, path, scratch[worker]) >=
+                   config.d;
           } else {
-            take = cached_path_diameter(g, forest, path, scratch[worker],
-                                        cache, logs[worker]) >=
+            take = path_diameter(g, forest, path, scratch[worker]) >=
                    2 * config.d + 3;
           }
           if (!take) return;
@@ -85,7 +77,6 @@ PeelingResult peel(const Graph& g, const CliqueForest& forest,
           path_owned_vertices(forest, active, path, scratch[worker],
                               owned[i]);
         });
-    cache.merge(logs);
     std::vector<LayerPath> taken;
     for (std::size_t i = 0; i < paths.size(); ++i) {
       if (!selected[i]) continue;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cliqueforest/forest.hpp"
-#include "cliqueforest/path_cache.hpp"
 #include "cliqueforest/paths.hpp"
 #include "graph/graph.hpp"
 
@@ -54,14 +53,9 @@ struct PeelingResult {
   std::vector<int> high_degree_counts;
 };
 
-/// Runs the peeling process on a prebuilt clique forest of g. A surviving
-/// path keeps its clique sequence across iterations (Lemma 5), so its
-/// threshold metrics are served from `metrics` on every iteration after the
-/// first; pass a caller-owned cache to extend the reuse across phases (the
-/// MVC/MIS engines re-derive the same interval models when solving the
-/// layers), or nullptr for a peel-local one.
+/// Runs the peeling process on a prebuilt clique forest of g, recomputing
+/// every path's threshold metric at every iteration.
 PeelingResult peel(const Graph& g, const CliqueForest& forest,
-                   const PeelConfig& config,
-                   PathMetricCache* metrics = nullptr);
+                   const PeelConfig& config);
 
 }  // namespace chordal::core

@@ -6,9 +6,9 @@
 // therefore keeps the *current* graph in per-slot sorted neighbor vectors
 // with an aliveness mask and a free list (deleted vertex slots are reused
 // lowest-first by later insertions), and materializes a CSR snapshot only
-// when a batch consumer (parity audit, BallCache rebind) asks for one. Slot
-// ids are stable across a vertex's lifetime, so downstream per-vertex state
-// (colors, clique membership, cache entries) never needs relabeling.
+// when a batch consumer (e.g. a parity audit) asks for one. Slot ids are
+// stable across a vertex's lifetime, so downstream per-vertex state
+// (colors, clique membership) never needs relabeling.
 //
 // Chordality certificates. Each mutation of a chordal graph G admits a
 // *local* exactness test (no global recognition pass):
@@ -127,7 +127,7 @@ class DynamicGraph {
   std::vector<int> alive_vertices() const;
 
   /// CSR snapshot over all slots; dead slots are isolated rows, so slot ids
-  /// and CSR ids coincide (what BallCache rebind and the audits want).
+  /// and CSR ids coincide (what the audits want).
   Graph materialize() const;
 
   std::size_t memory_bytes() const;

@@ -264,41 +264,6 @@ GeneratedInterval staircase_interval(int n, double step, double jitter,
   return out;
 }
 
-Graph random_k_tree(int n, int k, std::uint64_t seed) {
-  if (k < 1 || n < k + 1) {
-    throw std::invalid_argument("random_k_tree: need n >= k+1, k >= 1");
-  }
-  Rng rng(seed);
-  GraphBuilder b(n);
-  std::vector<std::vector<int>> k_cliques;
-  std::vector<int> base;
-  for (int u = 0; u <= k; ++u) {
-    for (int v = u + 1; v <= k; ++v) b.add_edge(u, v);
-  }
-  for (int u = 0; u <= k; ++u) {
-    std::vector<int> clique;
-    for (int v = 0; v <= k; ++v) {
-      if (v != u) clique.push_back(v);
-    }
-    k_cliques.push_back(std::move(clique));
-  }
-  for (int v = k + 1; v < n; ++v) {
-    const auto& host =
-        k_cliques[static_cast<std::size_t>(rng.next_below(k_cliques.size()))];
-    std::vector<int> attach = host;  // copy before k_cliques reallocates
-    for (int u : attach) b.add_edge(v, u);
-    for (int skip = 0; skip < k; ++skip) {
-      std::vector<int> next;
-      for (int i = 0; i < k; ++i) {
-        if (i != skip) next.push_back(attach[i]);
-      }
-      next.push_back(v);
-      k_cliques.push_back(std::move(next));
-    }
-  }
-  return b.build();
-}
-
 StreamingInterval streaming_interval_graph(const StreamingIntervalConfig& c) {
   if (c.n < 0) {
     throw std::invalid_argument("streaming_interval_graph: negative n");
@@ -371,20 +336,17 @@ StreamingInterval streaming_interval_graph(const StreamingIntervalConfig& c) {
 
 Graph streaming_k_tree(long long n, int k, std::uint64_t seed) {
   if (k < 1 || n < k + 1) {
-    throw std::invalid_argument("random_k_tree: need n >= k+1, k >= 1");
+    throw std::invalid_argument("streaming_k_tree: need n >= k+1, k >= 1");
   }
   check_streaming_vertex_count(n, "streaming_k_tree");
   Rng rng(seed);
   const long long added = n - (k + 1);
-  // One flat attachment slab replaces random_k_tree's k_cliques list: the
-  // k host vertices of each added vertex, stored in the legacy host-word
-  // order. Cliques exist only implicitly - clique id c > k decodes to
-  // (owner = k+1 + (c-k-1)/k, skip = (c-k-1)%k) with member word
-  // [attach(owner) minus slot skip, then owner], which is exactly the word
-  // the legacy generator materialized. Initial cliques c <= k are
-  // {0..k} \ {c}. The RNG call sequence (one next_below per added vertex,
-  // same modulus) matches random_k_tree, so the generated graph is
-  // bit-identical (asserted by tests/substrate_test.cpp).
+  // One flat attachment slab: the k host vertices of each added vertex.
+  // The k-cliques a new vertex may attach to exist only implicitly - clique
+  // id c > k decodes to (owner = k+1 + (c-k-1)/k, skip = (c-k-1)%k) with
+  // member word [attach(owner) minus slot skip, then owner]. Initial
+  // cliques c <= k are {0..k} \ {c}. One next_below per added vertex picks
+  // the host clique uniformly among the (k+1) + (v-k-1)*k so far.
   std::vector<VertexId> attach(static_cast<std::size_t>(added) *
                                static_cast<std::size_t>(k));
   for (long long v = k + 1; v < n; ++v) {

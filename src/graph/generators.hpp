@@ -116,17 +116,12 @@ GeneratedInterval random_unit_interval(int n, double window,
 GeneratedInterval staircase_interval(int n, double step, double jitter,
                                      std::uint64_t seed);
 
-/// Random k-tree on n vertices (n >= k+1): start from K_{k+1}; each new
-/// vertex attaches to a uniformly random existing k-clique.
-Graph random_k_tree(int n, int k, std::uint64_t seed);
-
 // ---------------------------------------------------------------------------
 // Streaming million-node generators
 //
-// The bulk generators above stage edges in a GraphBuilder pair list (and
-// random_k_tree additionally materializes every k-clique as its own
-// vector), which at n = 10^6..10^7 costs multiples of the final CSR slab in
-// peak memory. The streaming forms below emit edges directly into the final
+// The bulk generators above stage edges in a GraphBuilder pair list, which
+// at n = 10^6..10^7 costs multiples of the final CSR slab in peak memory.
+// The streaming forms below emit edges directly into the final
 // offsets/adjacency slabs - two passes, no pair list, no per-clique
 // vectors - so peak resident memory is the output graph plus O(n) flat
 // scratch. Counts narrow through graph/ids.hpp and raise IdOverflowError
@@ -158,12 +153,12 @@ struct StreamingInterval {
 /// both edge directions in sorted order. Peak memory = final slab + O(n).
 StreamingInterval streaming_interval_graph(const StreamingIntervalConfig& c);
 
-/// Random k-tree identical to random_k_tree(n, k, seed) - same RNG call
-/// sequence, same edge set, bit-identical CSR - but built through a flat
-/// attachment slab (k host ids per vertex) with cliques represented
+/// Random k-tree on n vertices (n >= k+1): start from K_{k+1}; each new
+/// vertex attaches to a uniformly random existing k-clique. Built through a
+/// flat attachment slab (k host ids per vertex) with cliques represented
 /// implicitly as (owner vertex, skipped slot) pairs, and edges streamed
-/// straight into the CSR slab. Peak memory drops from O(n*k) small vectors
-/// plus an edge pair list to one k*n id slab plus the output graph.
+/// straight into the CSR slab: peak memory is one k*n id slab plus the
+/// output graph.
 Graph streaming_k_tree(long long n, int k, std::uint64_t seed);
 
 }  // namespace chordal

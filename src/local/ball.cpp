@@ -31,8 +31,7 @@ Ball collect_ball(const Graph& g, int center, int radius,
   // collected volume must drain through the center's deg incident edges at
   // B words per round, so the charge grows to max(r, ceil(volume/(deg*B))).
   // The formula is a pure function of (radius, volume, degree, model), so
-  // the BallCache hit path (ball_cache.cpp charge_collect) replays it
-  // bit-identically.
+  // the workspace path (workspace.cpp) charges it bit-identically.
   auto words = static_cast<std::int64_t>(ball.vertices.size() +
                                          2 * ball.graph.num_edges());
   std::int64_t rounds = ball_collection_rounds(

@@ -11,12 +11,12 @@
 // (EXPERIMENTS.md "Bandwidth accounting") and the executable one cannot
 // diverge again.
 //
-// Model selection follows the process-wide knob idiom of support/cachectl:
-// the CHORDAL_NET_MODEL / CHORDAL_CONGEST_B environment variables are read
-// once, and set_network_model() / set_congest_capacity() install runtime
-// overrides (negative restores the environment default). current_bandwidth()
-// is cheap enough for hot paths: two relaxed flag loads plus cached env
-// state.
+// Model selection is a process-wide knob, like support/parallel's thread
+// count: the CHORDAL_NET_MODEL / CHORDAL_CONGEST_B environment variables
+// are read once, and set_network_model() / set_congest_capacity() install
+// runtime overrides (negative restores the environment default).
+// current_bandwidth() is cheap enough for hot paths: two relaxed flag
+// loads plus cached env state.
 #pragma once
 
 #include <cstdint>
@@ -120,9 +120,8 @@ inline std::int64_t edge_report_words(std::int64_t edges) {
 /// adjacency size). LOCAL: r rounds, one hop each. CONGEST: the center's
 /// `degree` incident edges each carry B words per round, so draining the
 /// volume takes at least ceil(volume / (degree * B)) rounds and never fewer
-/// than the r hops of distance. Pure in (radius, volume, degree, bw, n) so
-/// the BallCache hit path replays charges bit-identically to a fresh
-/// collection.
+/// than the r hops of distance. Pure in (radius, volume, degree, bw, n), so
+/// the allocating and workspace ball collections charge identically.
 std::int64_t ball_collection_rounds(std::int64_t radius,
                                     std::int64_t volume_words,
                                     std::int64_t degree,

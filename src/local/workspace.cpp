@@ -6,6 +6,7 @@
 #include "cliqueforest/forest.hpp"
 #include "graph/cliques.hpp"
 #include "local/bandwidth.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace chordal::local {
@@ -18,7 +19,7 @@ void BallWorkspace::ensure(const Graph& g) {
   }
 }
 
-namespace detail {
+namespace {
 
 /// Radius-limited BFS + induced-CSR assembly; fills out.vertices (BFS
 /// order), out.dist and out.graph exactly as the allocating collect_ball
@@ -77,36 +78,9 @@ void collect_ball_core(const Graph& g, int center, int radius,
   out.graph.assign_csr(k, ws.offsets, ws.adj);
 }
 
-}  // namespace detail
-
-void collect_ball(const Graph& g, int center, int radius,
-                  const std::vector<char>* active, RoundLedger* ledger,
-                  BallWorkspace& ws, Ball& out) {
-  detail::collect_ball_core(g, center, radius, active, ws, out);
-  auto words = static_cast<std::int64_t>(out.vertices.size() +
-                                         2 * out.graph.num_edges());
-  // Same congest-aware charge formula as ball.cpp / ball_cache.cpp
-  // charge_collect: radius rounds under LOCAL, drain-limited under CONGEST.
-  std::int64_t rounds = ball_collection_rounds(
-      radius, words, g.degree(center), current_bandwidth(), g.num_vertices());
-  if (ledger != nullptr) ledger->charge(center, rounds);
-  if (obs::Registry* reg = obs::current()) {
-    reg->counter("ball.collections").add(1);
-    reg->histogram("ball.volume_words").add(static_cast<double>(words));
-    obs::Span::charge_rounds(rounds);
-    obs::Span::charge_messages(static_cast<std::int64_t>(out.vertices.size()),
-                               words);
-  } else if (ws.obs_active) {
-    ws.obs.add_counter("ball.collections", 1);
-    ws.obs.add_histogram("ball.volume_words", static_cast<double>(words));
-    ws.obs.charge_rounds(rounds);
-    ws.obs.charge_messages(static_cast<std::int64_t>(out.vertices.size()),
-                           words);
-  }
-}
-
-namespace detail {
-
+/// The clique/forest stage of compute_local_view, from an already collected
+/// radius-`radius` ball of the observer. Uses ws only for flat scratch
+/// (phi_pairs/family); does not disturb the stamped tables.
 void view_from_ball(const Ball& ball, int radius, BallWorkspace& ws,
                     LocalView& out) {
   // Maximal cliques of the ball graph containing a vertex at distance
@@ -181,14 +155,34 @@ void view_from_ball(const Ball& ball, int radius, BallWorkspace& ws,
                   edges_out.end());
 }
 
-}  // namespace detail
+}  // namespace
+
+void collect_ball(const Graph& g, int center, int radius,
+                  const std::vector<char>* active, RoundLedger* ledger,
+                  BallWorkspace& ws, Ball& out) {
+  collect_ball_core(g, center, radius, active, ws, out);
+  auto words = static_cast<std::int64_t>(out.vertices.size() +
+                                         2 * out.graph.num_edges());
+  // Same congest-aware charge formula as ball.cpp: radius rounds under
+  // LOCAL, drain-limited under CONGEST.
+  std::int64_t rounds = ball_collection_rounds(
+      radius, words, g.degree(center), current_bandwidth(), g.num_vertices());
+  if (ledger != nullptr) ledger->charge(center, rounds);
+  if (obs::Registry* reg = obs::current()) {
+    reg->counter("ball.collections").add(1);
+    reg->histogram("ball.volume_words").add(static_cast<double>(words));
+    obs::Span::charge_rounds(rounds);
+    obs::Span::charge_messages(static_cast<std::int64_t>(out.vertices.size()),
+                               words);
+  }
+}
 
 void compute_local_view(const Graph& g, int observer, int radius,
                         const std::vector<char>* active, BallWorkspace& ws,
                         LocalView& out) {
   if (radius < 1) throw std::invalid_argument("local view: radius < 1");
-  detail::collect_ball_core(g, observer, radius, active, ws, ws.ball);
-  detail::view_from_ball(ws.ball, radius, ws, out);
+  collect_ball_core(g, observer, radius, active, ws, ws.ball);
+  view_from_ball(ws.ball, radius, ws, out);
 }
 
 }  // namespace chordal::local

@@ -12,9 +12,9 @@
 // The workspace overloads compute bit-identical results to the allocating
 // forms in local/ball.cpp and cliqueforest/local_view.cpp (asserted by
 // tests/workspace_test.cpp). One workspace per worker thread makes the
-// per-node loops embarrassingly parallel; telemetry from workers is
-// buffered in the workspace's obs::Delta and flushed in worker order so
-// counters stay bit-identical at any thread count (see support/parallel.hpp).
+// per-node loops embarrassingly parallel. Worker threads see no registry
+// (obs::current() is thread-local), so only coordinator-side calls record
+// telemetry; event tracing goes through the per-worker `trace` ring.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 #include "cliqueforest/wcig.hpp"
 #include "graph/graph.hpp"
 #include "local/ball.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace chordal::local {
@@ -48,20 +47,12 @@ class BallWorkspace {
     return visit_stamp[v] == epoch ? ball.dist[local_id[v]] : -1;
   }
 
-  /// Telemetry buffer for parallel workers. When obs::current() is null
-  /// (the worker threads) and obs_active is true, the workspace functions
-  /// record their counters here instead; the driver flushes each worker's
-  /// delta in worker order at the end of the parallel region, which equals
-  /// the sequential recording order. Workers never touch the registry.
-  obs::Delta obs;
-  bool obs_active = false;
-
   /// Event-trace staging ring for parallel workers: when a driver runs
   /// under an obs::Tracer it wires this to Tracer::worker(w) for the
-  /// region, and library sites (cache lookups, per-family forest builds)
-  /// emit through obs::trace_emit(trace, ...). Null when tracing is off or
-  /// the driver is not trace-aware; the driver merges the worker rings in
-  /// worker order after the join (see obs/trace.hpp).
+  /// region, and library sites (per-family forest builds) emit through
+  /// obs::trace_emit(trace, ...). Null when tracing is off or the driver is
+  /// not trace-aware; the driver merges the worker rings in worker order
+  /// after the join (see obs/trace.hpp).
   obs::TraceBuf* trace = nullptr;
 
   // Internal state (used by the workspace.cpp implementations). CSR
@@ -92,25 +83,5 @@ void collect_ball(const Graph& g, int center, int radius,
 void compute_local_view(const Graph& g, int observer, int radius,
                         const std::vector<char>* active, BallWorkspace& ws,
                         LocalView& out);
-
-namespace detail {
-
-/// The BFS + induced-CSR stage of collect_ball: fills out.vertices (BFS
-/// order, [0] = center), out.dist and out.graph, with no ledger charge and
-/// no telemetry. Leaves ws stamped with the ball (visit_stamp/local_id at
-/// ws.epoch), so ws.ball-independent distance queries can be layered on
-/// top. Exposed for local::BallCache, which rebuilds entries through it.
-void collect_ball_core(const Graph& g, int center, int radius,
-                       const std::vector<char>* active, BallWorkspace& ws,
-                       Ball& out);
-
-/// The clique/forest stage of compute_local_view, from an already collected
-/// radius-`radius` ball of the observer. Uses ws only for flat scratch
-/// (phi_pairs/family); does not disturb the stamped tables. Exposed for
-/// local::BallCache, which derives views from cached balls.
-void view_from_ball(const Ball& ball, int radius, BallWorkspace& ws,
-                    LocalView& out);
-
-}  // namespace detail
 
 }  // namespace chordal::local

@@ -122,54 +122,6 @@ std::string Registry::to_json() const {
   return w.str();
 }
 
-void Delta::add_counter(std::string_view name, std::int64_t delta) {
-  for (auto& [k, v] : counters_) {
-    if (k == name) {
-      v += delta;
-      return;
-    }
-  }
-  counters_.emplace_back(std::string(name), delta);
-}
-
-void Delta::add_histogram(std::string_view name, double value) {
-  for (auto& [k, samples] : histograms_) {
-    if (k == name) {
-      samples.push_back(value);
-      return;
-    }
-  }
-  histograms_.emplace_back(std::string(name), std::vector<double>{value});
-}
-
-bool Delta::empty() const {
-  return counters_.empty() && histograms_.empty() && rounds_ == 0 &&
-         messages_ == 0 && payload_words_ == 0;
-}
-
-void Delta::clear() {
-  counters_.clear();
-  histograms_.clear();
-  rounds_ = 0;
-  messages_ = 0;
-  payload_words_ = 0;
-}
-
-void Delta::flush() const {
-  Registry* reg = current();
-  if (reg == nullptr) return;
-  for (const auto& [name, value] : counters_) reg->counter(name).add(value);
-  for (const auto& [name, samples] : histograms_) {
-    auto& hist = reg->histogram(name);
-    for (double v : samples) hist.add(v);
-  }
-  if (SpanNode* node = reg->active_span()) {
-    node->rounds += rounds_;
-    node->messages += messages_;
-    node->payload_words += payload_words_;
-  }
-}
-
 Registry* current() { return g_current; }
 
 ScopedRegistry::ScopedRegistry(Registry& registry) : previous_(g_current) {

@@ -121,43 +121,9 @@ class Registry {
 /// Thread-local: a ScopedRegistry installs the sink only on its own thread,
 /// so pool workers of support::parallel_for always see nullptr and
 /// instrumentation sites stay race-free (and no-ops) there. Parallel
-/// drivers that want worker telemetry record into per-worker Deltas and
-/// merge them in worker order at the join point.
+/// drivers that want worker telemetry tally per worker and record the
+/// totals after the join.
 Registry* current();
-
-/// Per-worker telemetry accumulation buffer for parallel sections.
-///
-/// Registry and Span are single-threaded by design; inside a parallel_for a
-/// worker instead records into its own Delta, and the driver merges the
-/// per-worker Deltas *in worker order* after the join. With the static
-/// index partition of support::parallel_for, worker order equals global
-/// index order, so merged counters, histogram sample sequences, and span
-/// charges are bit-identical at any thread count.
-class Delta {
- public:
-  void add_counter(std::string_view name, std::int64_t delta);
-  void add_histogram(std::string_view name, double value);
-  void charge_rounds(std::int64_t rounds) { rounds_ += rounds; }
-  void charge_messages(std::int64_t count, std::int64_t payload_words) {
-    messages_ += count;
-    payload_words_ += payload_words;
-  }
-
-  bool empty() const;
-  void clear();
-
-  /// Applies the buffered telemetry to the current() registry (counters and
-  /// histogram samples in recorded order) and charges the buffered
-  /// rounds/messages to the innermost live span. No-op without a sink.
-  void flush() const;
-
- private:
-  std::vector<std::pair<std::string, std::int64_t>> counters_;
-  std::vector<std::pair<std::string, std::vector<double>>> histograms_;
-  std::int64_t rounds_ = 0;
-  std::int64_t messages_ = 0;
-  std::int64_t payload_words_ = 0;
-};
 
 /// RAII installer; restores the previous sink on destruction, so scopes may
 /// nest (e.g. a test registry inside a bench registry).

@@ -15,8 +15,8 @@
 // support::parallel_for body (at any thread count): per-worker spans would
 // otherwise be recorded only by the thread carrying the registry, making
 // the trace tree depend on CHORDAL_THREADS. The charge_* statics remain
-// live everywhere; parallel engines route worker charges through
-// obs::Delta merges, which are thread-count-invariant.
+// live everywhere; parallel engines tally worker charges per worker and
+// charge the totals after the join, which is thread-count-invariant.
 #pragma once
 
 #include <chrono>

@@ -52,14 +52,6 @@ KindInfo kind_info(TraceEventKind kind) {
       return {"color.recolor", "color"};
     case TraceEventKind::kMisPick:
       return {"mis.pick", "mis"};
-    case TraceEventKind::kCacheHit:
-      return {"cache.hit", "cache"};
-    case TraceEventKind::kCacheMiss:
-      return {"cache.miss", "cache"};
-    case TraceEventKind::kCacheExtend:
-      return {"cache.extend", "cache"};
-    case TraceEventKind::kCacheInvalidate:
-      return {"cache.invalidate", "cache"};
     case TraceEventKind::kForestBuild:
       return {"forest.build", "forest"};
     case TraceEventKind::kNetFragment:
@@ -76,18 +68,6 @@ const char* trace_event_name(TraceEventKind kind) {
 
 const char* trace_event_category(TraceEventKind kind) {
   return kind_info(kind).category;
-}
-
-bool trace_event_is_cache(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kCacheHit:
-    case TraceEventKind::kCacheMiss:
-    case TraceEventKind::kCacheExtend:
-    case TraceEventKind::kCacheInvalidate:
-      return true;
-    default:
-      return false;
-  }
 }
 
 TraceEvent& TraceBuf::push(const TraceEvent& e) {

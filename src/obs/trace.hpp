@@ -1,14 +1,14 @@
 // Round-level causal event tracing for the LOCAL simulator.
 //
-// The Registry (obs/metrics.hpp) aggregates: it can say *how many* cache
-// hits or peel commits a run had, but not which round, which node, or which
-// message caused a given decision. The Tracer records the individual
-// events: a flat stream of fixed-size TraceEvent records - peel decisions,
-// per-node pruning decisions, color commits, cache hits/misses/
-// invalidations, per-family forest builds, network sends and delivers -
-// each stamped with a logical tick (total order), the acting node, the
-// round/iteration it belongs to, and an optional causal lineage id that
-// links a delivered message back to the exact send() that produced it.
+// The Registry (obs/metrics.hpp) aggregates: it can say *how many* ball
+// collections or peel commits a run had, but not which round, which node,
+// or which message caused a given decision. The Tracer records the
+// individual events: a flat stream of fixed-size TraceEvent records - peel
+// decisions, per-node pruning decisions, color commits, per-family forest
+// builds, network sends and delivers - each stamped with a logical tick
+// (total order), the acting node, the round/iteration it belongs to, and an
+// optional causal lineage id that links a delivered message back to the
+// exact send() that produced it.
 //
 // Zero-cost disabled path: sites go through obs::tracer(), a thread-local
 // pointer that is null unless a ScopedTracer is installed (the
@@ -19,7 +19,7 @@
 // value (timestamps aside). Main-thread sites append directly to the
 // tracer's ring. Sites inside a support::parallel_for body append to the
 // per-worker TraceBuf ring the driver wired for the region (all of a
-// worker's events - driver decisions and library cache/forest events alike
+// worker's events - driver decisions and library forest events alike
 // - share that one buffer, so their interleaving is the worker's own
 // program order); Tracer::merge_workers() then drains the buffers in worker
 // order, which under the static index partition equals global index order.
@@ -64,13 +64,6 @@ enum class TraceEventKind : std::int16_t {
   kColorCommit,      // node = vertex, arg0 = color, round = layer
   kRecolor,          // node = vertex, arg0 = new color, round = layer
   kMisPick,          // node = chosen vertex, round = layer
-  kCacheHit,         // node = ball center, arg0 = radius, arg1 = ball size
-                     // (vertices), round = cache epoch at lookup
-  kCacheMiss,        // same fields as kCacheHit (full or view-only rebuild)
-  kCacheExtend,      // node = center, arg0 = new radius, arg1 = ball size
-  kCacheInvalidate,  // node = deactivated vertex, arg0 = entries killed
-                     // across all shards, arg1 = resident words freed,
-                     // round = epoch of the deactivation batch
   kForestBuild,      // node = observer (-1 for the global forest),
                      // arg0 = cliques considered, arg1 = edges chosen
   kNetFragment,      // CONGEST wire chunk: node = recipient, arg0 = sender,
@@ -81,11 +74,6 @@ enum class TraceEventKind : std::int16_t {
 
 const char* trace_event_name(TraceEventKind kind);
 const char* trace_event_category(TraceEventKind kind);
-
-/// True for the cache.* kinds - the only events that legitimately differ
-/// between cache-on and cache-off runs of the same workload (mirrors the
-/// cache.* scrub of scripts/bench_diff.py --parity).
-bool trace_event_is_cache(TraceEventKind kind);
 
 /// One fixed-size trace record. `tick` is the logical position in the
 /// merged deterministic order (1-based, strictly increasing); `wall_ns` is

@@ -88,7 +88,7 @@ TEST_P(RandomChordalParam, CliqueTreeGeneratorIsChordal) {
 }
 
 TEST_P(RandomChordalParam, KTreeIsChordal) {
-  EXPECT_TRUE(is_chordal(random_k_tree(60, 4, GetParam())));
+  EXPECT_TRUE(is_chordal(streaming_k_tree(60, 4, GetParam())));
 }
 
 TEST_P(RandomChordalParam, IntervalGraphsAreChordal) {

@@ -16,7 +16,7 @@ core::LocalDecisionAudit audit(const Graph& g, int k, int stride) {
   config.mode = core::PeelMode::kColoring;
   config.k = k;
   auto peeling = core::peel(g, forest, config);
-  return core::audit_local_pruning(g, forest, peeling, k, stride);
+  return core::audit_local_pruning(g, peeling, k, stride);
 }
 
 TEST(DistributedFidelity, PaperExampleAllNodesAllIterations) {

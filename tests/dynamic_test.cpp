@@ -209,25 +209,6 @@ TEST(DynamicGraphTest, DeletedSlotsAreReusedLowestFirst) {
   expect_parity(dc);
 }
 
-TEST(DynamicGraphTest, DirtyRegionTracksMutations) {
-  DynamicChordal dc(path_graph(4));
-  dc.drain_touched();
-  dc.delete_vertex(1);
-  auto killed = dc.killed();
-  EXPECT_TRUE(std::find(killed.begin(), killed.end(), 1) != killed.end());
-  auto touched = dc.touched();
-  EXPECT_TRUE(std::find(touched.begin(), touched.end(), 0) != touched.end())
-      << "former neighbors of a deleted vertex are adjacency-touched";
-  dc.drain_touched();
-  EXPECT_TRUE(dc.touched().empty());
-  EXPECT_TRUE(dc.killed().empty());
-  int back[] = {0, 2};
-  int z = dc.insert_vertex(back);
-  EXPECT_EQ(z, 1);
-  auto revived = dc.revived();
-  EXPECT_TRUE(std::find(revived.begin(), revived.end(), z) != revived.end());
-}
-
 // All four mutations on one instance, checking Signature parity after each
 // step. Signatures are pure slot-id structures, so the expectations are
 // identical in the 32-bit and CHORDAL_WIDE_IDS=ON builds - running this

@@ -8,8 +8,7 @@
 // (weight, word, word) order separates the candidate edges. On top of the
 // construction-level checks, the drivers (MVC with per-node local views,
 // MIS) must produce identical outputs and identical scrubbed telemetry
-// under every combination of thread count (1/2/8) and ball cache state
-// (on/off).
+// at every thread count (1/2/8).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,10 +26,8 @@
 #include "graph/cliques.hpp"
 #include "graph/generators.hpp"
 #include "local/ball.hpp"
-#include "local/ball_cache.hpp"
 #include "local/workspace.hpp"
 #include "obs/metrics.hpp"
-#include "support/cachectl.hpp"
 #include "support/parallel.hpp"
 #include "test_util.hpp"
 
@@ -135,8 +132,8 @@ std::vector<std::pair<std::string, Graph>> engine_workloads() {
         "clique_tree_" + std::to_string(static_cast<int>(shape)),
         random_chordal_from_clique_tree(config).graph);
   }
-  out.emplace_back("k_tree_2", random_k_tree(120, 2, 3));
-  out.emplace_back("k_tree_4", random_k_tree(150, 4, 9));
+  out.emplace_back("k_tree_2", streaming_k_tree(120, 2, 3));
+  out.emplace_back("k_tree_4", streaming_k_tree(150, 4, 9));
   out.emplace_back("staircase_interval",
                    staircase_interval(160, 0.7, 0.1, 5).graph);
   out.emplace_back("unit_interval",
@@ -159,21 +156,16 @@ std::vector<std::pair<std::string, Graph>> engine_workloads() {
 
 class EngineRestorer {
  public:
-  ~EngineRestorer() {
-    support::set_cache_enabled(-1);
-    support::set_num_threads(0);
-  }
+  ~EngineRestorer() { support::set_num_threads(0); }
 };
 
-/// Registry JSON with wall-clock timings and the cache.* counters removed
-/// (a cached run publishes cache statistics the uncached run does not);
-/// everything else must match byte for byte.
+/// Registry JSON with wall-clock timings removed; everything else must
+/// match byte for byte.
 std::string scrub_volatile(const std::string& json) {
   std::string out;
   std::size_t i = 0;
   while (i < json.size()) {
-    bool drop = json.compare(i, 7, "\"cache.") == 0 ||
-                json.compare(i, 10, "\"wall_ms\":") == 0;
+    bool drop = json.compare(i, 10, "\"wall_ms\":") == 0;
     if (!drop) {
       out.push_back(json[i]);
       ++i;
@@ -272,7 +264,6 @@ TEST(ForestEngine, LocalViewsMatchOracleAllPaths) {
   LocalView ws_view;
   for (const auto& [name, g] : engine_workloads()) {
     if (g.num_vertices() < 2) continue;
-    local::BallCache cache(g, /*enabled=*/true);
     for (int radius : {2, 4}) {
       for (int v = 0; v < g.num_vertices(); v += 5) {
         LocalView oracle = reference_local_view(g, v, radius);
@@ -285,10 +276,6 @@ TEST(ForestEngine, LocalViewsMatchOracleAllPaths) {
         EXPECT_EQ(oracle.cliques, ws_view.cliques) << name;
         EXPECT_EQ(oracle.forest_edges, ws_view.forest_edges) << name;
         EXPECT_EQ(oracle.trusted_vertices, ws_view.trusted_vertices) << name;
-        const LocalView& cached = *cache.shard(0).local_view(v, radius).view;
-        EXPECT_EQ(oracle.cliques, cached.cliques) << name;
-        EXPECT_EQ(oracle.forest_edges, cached.forest_edges) << name;
-        EXPECT_EQ(oracle.trusted_vertices, cached.trusted_vertices) << name;
       }
     }
   }
@@ -338,7 +325,7 @@ TEST(ForestEngine, DriverOutputsAndTelemetryEngineInvariant) {
   // MVC through per-node local views (one Lemma 2 family selection per
   // active node per peel iteration - the engine's hottest consumer) and the
   // full MIS driver: outputs and scrubbed telemetry must be identical at
-  // every (threads, cache) combination.
+  // every thread count.
   EngineRestorer restore;
   RandomChordalConfig config;
   config.n = 160;
@@ -352,20 +339,16 @@ TEST(ForestEngine, DriverOutputsAndTelemetryEngineInvariant) {
   std::vector<core::MisResult> mis_results;
   std::vector<std::string> telemetry;
   std::vector<std::string> labels;
-  for (int cached : {1, 0}) {
-    for (int threads : {1, 2, 8}) {
-      support::set_cache_enabled(cached);
-      support::set_num_threads(threads);
-      obs::Registry reg;
-      {
-        obs::ScopedRegistry scope(reg);
-        mvc_results.push_back(core::mvc_chordal(g, options));
-        mis_results.push_back(core::mis_chordal(g));
-      }
-      telemetry.push_back(scrub_volatile(reg.to_json()));
-      labels.push_back("cached=" + std::to_string(cached) +
-                       " threads=" + std::to_string(threads));
+  for (int threads : {1, 2, 8}) {
+    support::set_num_threads(threads);
+    obs::Registry reg;
+    {
+      obs::ScopedRegistry scope(reg);
+      mvc_results.push_back(core::mvc_chordal(g, options));
+      mis_results.push_back(core::mis_chordal(g));
     }
+    telemetry.push_back(scrub_volatile(reg.to_json()));
+    labels.push_back("threads=" + std::to_string(threads));
   }
   for (std::size_t i = 1; i < mvc_results.size(); ++i) {
     EXPECT_EQ(mvc_results[0].colors, mvc_results[i].colors) << labels[i];

@@ -201,7 +201,7 @@ TEST(Generators, RandomIntervalMatchesGeometry) {
 }
 
 TEST(Generators, KTreeHasRightEdgeCount) {
-  Graph g = random_k_tree(30, 3, 5);
+  Graph g = streaming_k_tree(30, 3, 5);
   // k-tree edges: C(k+1,2) + (n-k-1)*k.
   EXPECT_EQ(g.num_edges(), 6u + 26u * 3u);
 }

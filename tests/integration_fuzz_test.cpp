@@ -37,7 +37,7 @@ Graph random_workload(std::uint64_t seed) {
       return random_chordal_from_clique_tree(config).graph;
     }
     default:
-      return random_k_tree(30 + static_cast<int>(rng.next_below(120)),
+      return streaming_k_tree(30 + static_cast<int>(rng.next_below(120)),
                            1 + static_cast<int>(rng.next_below(4)), seed);
   }
 }

@@ -20,7 +20,7 @@ core::LocalDecisionAudit audit_mis(const Graph& g, int d, int iterations,
   config.d = d;
   config.max_iterations = iterations;
   auto peeling = core::peel(g, forest, config);
-  return core::audit_local_pruning_mis(g, forest, peeling, d, stride);
+  return core::audit_local_pruning_mis(g, peeling, d, stride);
 }
 
 TEST(MisFidelity, PaperExample) {

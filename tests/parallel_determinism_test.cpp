@@ -155,7 +155,7 @@ TEST(ParallelDeterminism, LocalDecisionAuditsIdentical) {
   std::vector<core::LocalDecisionAudit> audits;
   for (int threads : kThreadCounts) {
     support::set_num_threads(threads);
-    audits.push_back(core::audit_local_pruning(g, forest, peeling, k, 2));
+    audits.push_back(core::audit_local_pruning(g, peeling, k, 2));
   }
   for (std::size_t i = 1; i < audits.size(); ++i) {
     EXPECT_EQ(audits[0].decisions_checked, audits[i].decisions_checked);

@@ -1,9 +1,7 @@
 // Causal event tracing (obs/trace.hpp): the trace of a run is part of its
 // deterministic output. Scrubbing wall_ns (the only wall-clock field),
 // the merged event stream of a driver run must be bit-identical across
-// thread counts {1, 2, 8} at each cache setting {on, off}, and across cache
-// settings it must be identical outside the cache.* events and the
-// view-rebuild forest.build events (views are rebuilt only on miss).
+// thread counts {1, 2, 8}.
 // Message lineage must be causal: every net.deliver resolves through its
 // lineage id to exactly one earlier net.send.
 #include <gtest/gtest.h>
@@ -16,7 +14,6 @@
 #include "core/mvc.hpp"
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
-#include "support/cachectl.hpp"
 #include "support/parallel.hpp"
 
 namespace chordal {
@@ -37,18 +34,14 @@ Graph trace_workload() {
 /// Restores every toggle this test flips, whatever the exit path.
 class ToggleRestorer {
  public:
-  ~ToggleRestorer() {
-    support::set_num_threads(0);
-    support::set_cache_enabled(-1);
-  }
+  ~ToggleRestorer() { support::set_num_threads(0); }
 };
 
 /// One full driver run (per-node MVC + MIS) under a fresh tracer; returns
 /// the merged event stream with wall_ns zeroed (the only field allowed to
 /// vary between otherwise identical runs).
-std::vector<TraceEvent> traced_run(const Graph& g, int threads, int cache) {
+std::vector<TraceEvent> traced_run(const Graph& g, int threads) {
   support::set_num_threads(threads);
-  support::set_cache_enabled(cache);
   obs::Tracer tracer;
   {
     obs::ScopedTracer scope(tracer);
@@ -63,46 +56,20 @@ std::vector<TraceEvent> traced_run(const Graph& g, int threads, int cache) {
   return events;
 }
 
-/// Drops the effectiveness events that legitimately differ between cache
-/// settings: cache.* (only the cached run has hits/extends; epochs and
-/// revisions exist only there) and forest.build (local views are rebuilt
-/// per call when uncached but only on miss when cached).
-std::vector<TraceEvent> scrub_cache_events(std::vector<TraceEvent> events) {
-  std::erase_if(events, [](const TraceEvent& e) {
-    return obs::trace_event_is_cache(e.kind) ||
-           e.kind == TraceEventKind::kForestBuild;
-  });
-  // Ticks renumber once events are dropped; compare by order instead.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    events[i].tick = static_cast<std::int64_t>(i) + 1;
-  }
-  return events;
-}
-
-TEST(TraceDeterminism, IdenticalAcrossThreadsAndCache) {
+TEST(TraceDeterminism, IdenticalAcrossThreads) {
   ToggleRestorer restore;
   Graph g = trace_workload();
   const int kThreads[] = {1, 2, 8};
-
-  std::vector<TraceEvent> cross_cache_baseline;
-  for (int cache : {1, 0}) {
-    std::vector<TraceEvent> thread_baseline;
-    for (int threads : kThreads) {
-      std::vector<TraceEvent> events = traced_run(g, threads, cache);
-      ASSERT_FALSE(events.empty());
-      if (threads == kThreads[0]) {
-        thread_baseline = events;
-      } else {
-        // The headline guarantee: scrubbed streams are bit-identical at
-        // any thread count, library events included.
-        EXPECT_EQ(thread_baseline, events)
-            << "threads=" << threads << " cache=" << cache;
-      }
-    }
-    if (cache == 1) {
-      cross_cache_baseline = scrub_cache_events(thread_baseline);
+  std::vector<TraceEvent> baseline;
+  for (int threads : kThreads) {
+    std::vector<TraceEvent> events = traced_run(g, threads);
+    ASSERT_FALSE(events.empty());
+    if (threads == kThreads[0]) {
+      baseline = events;
     } else {
-      EXPECT_EQ(cross_cache_baseline, scrub_cache_events(thread_baseline));
+      // The headline guarantee: scrubbed streams are bit-identical at any
+      // thread count, library events included.
+      EXPECT_EQ(baseline, events) << "threads=" << threads;
     }
   }
 }
@@ -110,7 +77,7 @@ TEST(TraceDeterminism, IdenticalAcrossThreadsAndCache) {
 TEST(TraceDeterminism, DriverEventFamiliesPresent) {
   ToggleRestorer restore;
   Graph g = trace_workload();
-  std::vector<TraceEvent> events = traced_run(g, 2, 1);
+  std::vector<TraceEvent> events = traced_run(g, 2);
   auto count = [&](TraceEventKind kind) {
     return std::count_if(events.begin(), events.end(),
                          [&](const TraceEvent& e) { return e.kind == kind; });
@@ -122,11 +89,6 @@ TEST(TraceDeterminism, DriverEventFamiliesPresent) {
   EXPECT_GT(count(TraceEventKind::kPeelCommit), 0);
   EXPECT_GT(count(TraceEventKind::kColorCommit), 0);
   EXPECT_GT(count(TraceEventKind::kMisPick), 0);
-  // Per-node peeling rebuilds views after each layer's deactivations, so
-  // the cached run shows misses and invalidations; full hits are absorbed
-  // by the per-vertex decision memo and may legitimately be zero.
-  EXPECT_GT(count(TraceEventKind::kCacheMiss), 0);
-  EXPECT_GT(count(TraceEventKind::kCacheInvalidate), 0);
   EXPECT_GT(count(TraceEventKind::kForestBuild), 0);
 
   // Every vertex's color is committed exactly once.
@@ -136,7 +98,7 @@ TEST(TraceDeterminism, DriverEventFamiliesPresent) {
 TEST(TraceQuery, NodeAndRoundSlices) {
   ToggleRestorer restore;
   Graph g = trace_workload();
-  obs::TraceQuery q(traced_run(g, 2, 1));
+  obs::TraceQuery q(traced_run(g, 2));
 
   // Find a peeled vertex and check the node slice is exactly its events.
   const TraceEvent* commit = nullptr;

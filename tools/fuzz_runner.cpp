@@ -2,10 +2,10 @@
 //
 // Builds the structured corpus from src/audit/fuzzers.hpp and pushes every
 // case through the invariant auditors: chordal graph cases run the full
-// differential execution matrix (threads {1,8} x cache {on,off} x model
-// {LOCAL,CONGEST}) with every per-claim auditor enabled, the whole-graph
-// and per-family forest engine parity checks included; near-chordal cases
-// must be rejected with a typed exception; corrupted byte streams must
+// differential execution matrix (threads {1,8} x model {LOCAL,CONGEST})
+// with every per-claim auditor enabled, the whole-graph and per-family
+// forest engine parity checks included; near-chordal cases must be
+// rejected with a typed exception; corrupted byte streams must
 // parse canonically or throw - never crash. Intended to run under ASan+UBSan:
 // any sanitizer report, crash, or auditor violation fails the gate.
 //
@@ -79,7 +79,7 @@ std::string check_stream(const audit::StreamCase& sc) {
 
 /// Re-runs the failing graph case under an obs::Tracer and writes the
 /// Chrome trace next to the failing input: the causal event stream (peel
-/// and local decisions, audit verdicts, cache traffic) of the exact run
+/// and local decisions, audit verdicts, forest builds) of the exact run
 /// that tripped the auditor, loadable in Perfetto for triage. The re-run
 /// is expected to throw again; a case that no longer fails is noted.
 void dump_failure_trace(const audit::GraphCase& gc, double eps_color,
