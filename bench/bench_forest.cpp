@@ -1,8 +1,10 @@
 // Experiment E13 - the near-linear clique-forest engine. Construction of
 // the clique forest (Section 2) and of the per-vertex Lemma 2 family
 // forests is the substrate under every driver in this repo; this harness
-// records its cost model: full-forest builds across workload scales and a
-// per-family MWSF sweep in the exact call shape of compute_local_view.
+// records its cost model: full-forest builds across workload scales (with
+// the W_G edge count an explicit build would enumerate beside the
+// separator candidates the engine hands to Kruskal) and a per-family MWSF
+// sweep in the exact call shape of compute_local_view.
 //
 // Every table cell is an output of the construction (sizes, edge counts,
 // weights, output hashes), independent of the id width: scripts/check.sh
@@ -116,6 +118,10 @@ std::vector<Workload> workloads() {
   out.push_back({"k_tree k=4 n=4096", streaming_k_tree(4096, 4, 9)});
   out.push_back(
       {"staircase n=4096", staircase_interval(4096, 0.7, 0.1, 5).graph});
+  // Hubs: the k-tree's hub vertices and the windmill's core sit in most
+  // cliques, so W_G is near-quadratic while the candidates stay linear.
+  out.push_back({"k_tree k=8 n=4096", streaming_k_tree(4096, 8, 9)});
+  out.push_back({"windmill core=4 blades=1024", windmill_graph(4, 1024, 2)});
   return out;
 }
 
@@ -128,8 +134,14 @@ int main(int argc, char** argv) {
       "integer tie-breaks; outputs are bit-identical to the reference "
       "order (weight, then lexicographic clique words)");
 
-  Table build_table({"workload", "n", "edges", "cliques", "forest edges",
-                     "forest weight", "edge hash"});
+  // "W_G edges" is what an explicit W_G build enumerates; "candidates" is
+  // what the engine hands to Kruskal (separator candidates, a superset of
+  // the forest).
+  Table build_table({"workload", "n", "edges", "cliques", "W_G edges",
+                     "candidates", "forest edges", "forest weight",
+                     "edge hash"});
+  ForestScratch scratch;
+  std::vector<WcigEdge> wcig;
   std::vector<std::pair<Workload, CliqueForest>> forests;
   for (auto& w : workloads()) {
     long long allocs_before = g_allocs.load(std::memory_order_relaxed);
@@ -141,6 +153,11 @@ int main(int argc, char** argv) {
     add_engine_counter("engine.build.allocs",
                        g_allocs.load(std::memory_order_relaxed) -
                            allocs_before);
+    const int n = w.graph.num_vertices();
+    wcig_edges_counting(forest->cliques(), n, scratch, wcig);
+    const auto wcig_count = static_cast<long long>(wcig.size());
+    max_weight_spanning_forest(forest->cliques(), n, scratch, wcig);
+    const auto candidates = static_cast<long long>(scratch.edges.size());
     long long weight = 0;
     std::uint64_t hash = 1469598103934665603ull;
     for (auto [a, b] : forest->forest_edges()) {
@@ -151,6 +168,7 @@ int main(int argc, char** argv) {
         {w.name, Table::fmt(w.graph.num_vertices()),
          Table::fmt(w.graph.num_edges()),
          Table::fmt(static_cast<long long>(forest->cliques().size())),
+         Table::fmt(wcig_count), Table::fmt(candidates),
          Table::fmt(static_cast<long long>(forest->forest_edges().size())),
          Table::fmt(weight),
          Table::fmt(static_cast<long long>(hash % 1000000007ull))});
@@ -167,7 +185,6 @@ int main(int argc, char** argv) {
   Table family_table({"workload", "n", "families >= 2", "edges per sweep",
                       "sweeps", "edge hash"});
   constexpr int kSweeps = 5;
-  ForestScratch scratch;
   std::vector<std::pair<int, int>> edges;
   for (const auto& [w, forest] : forests) {
     long long families = 0, emitted = 0;

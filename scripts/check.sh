@@ -124,7 +124,7 @@ echo "== Bench regression gate (fresh run vs committed baselines) =="
 # Regenerates the canonical (unsuffixed) bench set into the smoke dir and
 # compares it against the committed BENCH_*.json.
 # CHORDAL_DYNAMIC_SMOKE keeps the E17 matrix at its n=10^4 cells here (the
-# full matrix is a quarter-hour; its floors are still hard-checked on the
+# full matrix takes ~5 minutes; its floors are still hard-checked on the
 # fresh smoke cells, and the committed baseline comes from a full run).
 OUT_DIR="$smoke_dir" BUILD_DIR="$repo/build-release" \
   CHORDAL_DYNAMIC_SMOKE=1 "$repo/scripts/bench_all.sh" >/dev/null

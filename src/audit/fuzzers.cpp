@@ -25,22 +25,6 @@ Graph disjoint_union(const std::vector<Graph>& parts, int extra_isolated) {
   return b.build();
 }
 
-Graph windmill(int core, int blades, int blade_size) {
-  int n = core + blades * blade_size;
-  GraphBuilder b(n);
-  for (int i = 0; i < core; ++i) {
-    for (int j = i + 1; j < core; ++j) b.add_edge(i, j);
-  }
-  for (int blade = 0; blade < blades; ++blade) {
-    int lo = core + blade * blade_size;
-    for (int i = 0; i < blade_size; ++i) {
-      for (int j = 0; j < core; ++j) b.add_edge(lo + i, j);
-      for (int j = i + 1; j < blade_size; ++j) b.add_edge(lo + i, lo + j);
-    }
-  }
-  return b.build();
-}
-
 /// Path power P_n^{w}: edge iff |i - j| <= w. Every consecutive-bag
 /// intersection has the same size, so the forest tie-breaks decide all.
 Graph band_graph(int n, int w) {
@@ -67,7 +51,7 @@ Graph small_component(Rng& rng, int max_n) {
     case 1: {
       // Clamp n to k+1, not a constant: (n=3, k=3) used to slip through and
       // trip streaming_k_tree's precondition on rare seeds.
-      int k = 1 + static_cast<int>(rng.next_below(3));
+      int k = 1 + static_cast<int>(rng.next_below(8));
       return streaming_k_tree(std::max(n, k + 1), k, rng.next());
     }
     case 2:
@@ -158,10 +142,17 @@ Graph disconnected_union(std::uint64_t seed) {
 Graph tie_storm(std::uint64_t seed) {
   Rng rng(seed ^ 0x7469655f73746f72ULL);
   if (rng.next_below(2) == 0) {
+    // Hub storms: a windmill's core or a k-tree's hubs sit in nearly every
+    // clique, and every k-tree separator has exactly k vertices.
+    if (rng.next_below(2) == 0) {
+      int k = 1 + static_cast<int>(rng.next_below(8));
+      int n = (k + 1) + static_cast<int>(rng.next_below(120));
+      return streaming_k_tree(n, k, rng.next());
+    }
     int core = 1 + static_cast<int>(rng.next_below(4));
     int blades = 3 + static_cast<int>(rng.next_below(18));
     int blade_size = 1 + static_cast<int>(rng.next_below(3));
-    return windmill(core, blades, blade_size);
+    return windmill_graph(core, blades, blade_size);
   }
   int w = 1 + static_cast<int>(rng.next_below(5));
   int n = (w + 2) + static_cast<int>(rng.next_below(120));

@@ -55,9 +55,9 @@ Graph random_chordal_mix(std::uint64_t seed);
 Graph disconnected_union(std::uint64_t seed);
 
 /// Adversarial tie storm: a generalized windmill (many equal-size cliques
-/// sharing one common core) optionally chained, so *every* intersection
-/// weight in W_G ties and the deterministic (weight, word, word) order does
-/// all the work.
+/// sharing one common core), a k-tree with k up to 8, or a band graph, so
+/// whole weight classes of W_G tie and the deterministic (weight, word,
+/// word) order does all the work.
 Graph tie_storm(std::uint64_t seed);
 
 /// Near-chordal adversary: a random chordal graph plus one long induced

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 
 #include "graph/cliques.hpp"
@@ -46,6 +47,159 @@ bool uf_unite(ForestScratch& s, int a, int b) {
   return true;
 }
 
+// phi as a CSR slab: count memberships, prefix-sum, then fill ascending in
+// clique index (advancing each row's start, shifted back afterwards) so
+// each vertex's row comes out sorted. Validates every vertex id.
+void build_phi(const CliqueFamily& cliques, int n, ForestScratch& s) {
+  auto& off = s.phi_offsets;
+  off.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (CliqueWord word : cliques) {
+    for (auto v : word) {
+      if (v < 0 || v >= n) {
+        throw std::out_of_range("clique_membership: vertex out of range");
+      }
+      ++off[static_cast<std::size_t>(v) + 1];
+    }
+  }
+  for (int v = 0; v < n; ++v) off[v + 1] += off[v];
+  s.phi.resize(static_cast<std::size_t>(off[n]));
+  for (std::size_t c = 0; c < cliques.size(); ++c) {
+    for (auto v : cliques[c]) {
+      s.phi[static_cast<std::size_t>(off[v]++)] = static_cast<CliqueId>(c);
+    }
+  }
+  for (int v = n; v > 0; --v) off[v] = off[v - 1];
+  off[0] = 0;
+}
+
+// vertex_flags bits: reached by the clique search / in the marked word.
+constexpr char kVisited = 1;
+constexpr char kMarked = 2;
+
+// Candidate W_G edges for one distinct separator S (safe filter): for a
+// W_G edge {x, y} with rank x < y and S = C_x cut C_y, a clique z ranked
+// above y containing S makes {x, y} the unique minimum of the triangle
+// x-y-z under the paper's order, so it is not in the MWSF. Hence only
+// {d, top(S)} can be a forest edge with separator S, over the holders d of
+// S (the cliques containing it) and top(S) the highest-ranked holder. The
+// holders all contain `pivot`, S's vertex of smallest |phi|.
+void emit_candidates(const CliqueFamily& cliques, CliqueWord sep,
+                     VertexId pivot, ForestScratch& s) {
+  const auto& rank = s.ranks;
+  auto toggle_mark = [&s](CliqueWord word) {
+    for (auto v : word) s.vertex_flags[v] ^= kMarked;
+  };
+  auto count_marked = [&s](CliqueWord word) {
+    int hits = 0;
+    for (auto v : word) hits += (s.vertex_flags[v] & kMarked) != 0 ? 1 : 0;
+    return hits;
+  };
+  toggle_mark(sep);
+  s.holders.clear();
+  int top = -1;
+  for (EdgeIndex i = s.phi_offsets[pivot]; i < s.phi_offsets[pivot + 1];
+       ++i) {
+    const int d = static_cast<int>(s.phi[static_cast<std::size_t>(i)]);
+    const CliqueWord word = cliques[static_cast<std::size_t>(d)];
+    if (count_marked(word) != static_cast<int>(sep.size())) continue;
+    s.holders.push_back(d);
+    if (top == -1 || rank[d] > rank[top]) top = d;
+  }
+  toggle_mark(sep);
+  const CliqueWord top_word = cliques[static_cast<std::size_t>(top)];
+  toggle_mark(top_word);
+  for (int d : s.holders) {
+    if (d == top) continue;
+    s.edges.push_back({std::min(d, top), std::max(d, top),
+                       count_marked(cliques[static_cast<std::size_t>(d)])});
+  }
+  toggle_mark(top_word);
+}
+
+// Every forest edge's intersection is a minimal separator, so the
+// candidates of all distinct minimal separators contain the forest. They
+// come from a maximum-cardinality search over cliques (Tarjan &
+// Yannakakis): repeatedly visit an unvisited clique sharing the most
+// vertices with the visited ones, restarting at count 0 when a component
+// ends. That is a running-intersection order (Blair & Peyton, Section 4),
+// so the nonempty S_c = C_c cut visited are the separator multiset every
+// clique tree shares. Lazy bucket stacks (stale entries skipped on pop)
+// keep the search O(sum |C|). Equal separators have the same pivot, so
+// each S_c is deduplicated against the distinct separators chained at
+// its pivot before its candidates are emitted.
+void collect_candidates(const CliqueFamily& cliques, int num_graph_vertices,
+                        ForestScratch& s) {
+  const int m = static_cast<int>(cliques.size());
+  std::size_t width = 0;
+  for (CliqueWord word : cliques) width = std::max(width, word.size());
+  s.mcs_count.assign(static_cast<std::size_t>(m), 0);
+  s.mcs_buckets.resize(std::max(s.mcs_buckets.size(), width + 1));
+  for (auto& bucket : s.mcs_buckets) bucket.clear();
+  for (int c = m - 1; c >= 0; --c) s.mcs_buckets[0].push_back(c);
+  s.sep_head.assign(static_cast<std::size_t>(num_graph_vertices), -1);
+  s.sep_next.clear();
+  s.sep_offsets.assign(1, 0);
+  s.sep_vertices.clear();
+  auto phi_size = [&s](VertexId v) {
+    return s.phi_offsets[v + 1] - s.phi_offsets[v];
+  };
+  auto separator = [&s](int id) {
+    const auto begin = static_cast<std::size_t>(s.sep_offsets[id]);
+    return CliqueWord(s.sep_vertices.data() + begin,
+                      static_cast<std::size_t>(s.sep_offsets[id + 1]) - begin);
+  };
+  s.vertex_flags.assign(static_cast<std::size_t>(num_graph_vertices), 0);
+  int top = 0;
+  for (int step = 0; step < m; ++step) {
+    int c = -1;
+    while (c == -1) {
+      auto& bucket = s.mcs_buckets[static_cast<std::size_t>(top)];
+      if (bucket.empty()) {
+        --top;
+        continue;
+      }
+      const int d = bucket.back();
+      bucket.pop_back();
+      if (s.mcs_count[d] == top) c = d;  // else visited or moved up
+    }
+    s.mcs_count[c] = -1;
+    const auto begin = static_cast<std::size_t>(s.sep_offsets.back());
+    for (auto v : cliques[static_cast<std::size_t>(c)]) {
+      if (s.vertex_flags[v] & kVisited) {
+        s.sep_vertices.push_back(v);
+        continue;
+      }
+      s.vertex_flags[v] = kVisited;
+      for (EdgeIndex i = s.phi_offsets[v]; i < s.phi_offsets[v + 1]; ++i) {
+        const int d = static_cast<int>(s.phi[static_cast<std::size_t>(i)]);
+        if (s.mcs_count[d] < 0) continue;
+        const int count = ++s.mcs_count[d];
+        s.mcs_buckets[static_cast<std::size_t>(count)].push_back(d);
+        top = std::max(top, count);
+      }
+    }
+    if (s.sep_vertices.size() == begin) continue;  // component root
+    const CliqueWord sep(s.sep_vertices.data() + begin,
+                         s.sep_vertices.size() - begin);
+    VertexId pivot = sep.front();
+    for (auto u : sep) {
+      if (phi_size(u) < phi_size(pivot)) pivot = u;
+    }
+    bool seen = false;
+    for (int id = s.sep_head[pivot]; id != -1 && !seen; id = s.sep_next[id]) {
+      seen = word_eq(sep, separator(id));
+    }
+    if (seen) {
+      s.sep_vertices.resize(begin);
+      continue;
+    }
+    s.sep_next.push_back(s.sep_head[pivot]);
+    s.sep_head[pivot] = static_cast<int>(s.sep_next.size()) - 1;
+    s.sep_offsets.push_back(static_cast<EdgeIndex>(s.sep_vertices.size()));
+    emit_candidates(cliques, sep, pivot, s);
+  }
+}
+
 }  // namespace
 
 std::vector<WcigEdge> max_weight_spanning_forest_oracle(
@@ -75,34 +229,39 @@ void max_weight_spanning_forest(const CliqueFamily& cliques,
                                 std::vector<WcigEdge>& out) {
   out.clear();
   const int m = static_cast<int>(cliques.size());
-  wcig_edges_counting(cliques, num_graph_vertices, scratch, scratch.edges);
+  build_phi(cliques, num_graph_vertices, scratch);
   auto& edges = scratch.edges;
-  if (edges.empty()) return;
+  edges.clear();
+  if (m < 2) return;
   // The paper's tie-break compares the incident cliques' sorted ID words;
   // after ranking the words once, that is integer comparison on
-  // (min rank, max rank). Canonical families are already strictly sorted,
-  // making rank == index - and wcig_edges_counting emits edges ascending in
-  // (a, b), so they are already in ascending tie-break order. Non-canonical
-  // families get an explicit ranking plus a two-pass radix reorder.
-  if (!cliques_lex_sorted(cliques)) {
+  // (min rank, max rank). Canonical families are strictly sorted already,
+  // making rank == index.
+  if (cliques_lex_sorted(cliques)) {
+    scratch.ranks.resize(static_cast<std::size_t>(m));
+    std::iota(scratch.ranks.begin(), scratch.ranks.end(), 0);
+  } else {
     scratch.ranks = clique_lex_ranks(cliques);
-    const auto& rank = scratch.ranks;
-    const std::size_t ecount = edges.size();
-    scratch.edges_tmp.resize(ecount);
-    auto counting_pass = [&](const std::vector<WcigEdge>& in,
-                             std::vector<WcigEdge>& sorted, bool high_key) {
-      scratch.counts.assign(static_cast<std::size_t>(m) + 1, 0);
-      auto key = [&](const WcigEdge& e) {
-        return high_key ? std::max(rank[e.a], rank[e.b])
-                        : std::min(rank[e.a], rank[e.b]);
-      };
-      for (const auto& e : in) ++scratch.counts[key(e) + 1];
-      for (int c = 0; c < m; ++c) scratch.counts[c + 1] += scratch.counts[c];
-      for (const auto& e : in) sorted[scratch.counts[key(e)]++] = e;
-    };
-    counting_pass(edges, scratch.edges_tmp, /*high_key=*/true);
-    counting_pass(scratch.edges_tmp, edges, /*high_key=*/false);
   }
+  collect_candidates(cliques, num_graph_vertices, scratch);
+  if (edges.empty()) return;
+  // Two-pass radix order over ranks: ascending (min rank, max rank), the
+  // ascending tie-break order.
+  const auto& rank = scratch.ranks;
+  scratch.edges_tmp.resize(edges.size());
+  auto counting_pass = [&](const std::vector<WcigEdge>& in,
+                           std::vector<WcigEdge>& sorted, bool high_key) {
+    scratch.counts.assign(static_cast<std::size_t>(m) + 1, 0);
+    auto key = [&](const WcigEdge& e) {
+      return high_key ? std::max(rank[e.a], rank[e.b])
+                      : std::min(rank[e.a], rank[e.b]);
+    };
+    for (const auto& e : in) ++scratch.counts[key(e) + 1];
+    for (int c = 0; c < m; ++c) scratch.counts[c + 1] += scratch.counts[c];
+    for (const auto& e : in) sorted[scratch.counts[key(e)]++] = e;
+  };
+  counting_pass(edges, scratch.edges_tmp, /*high_key=*/true);
+  counting_pass(scratch.edges_tmp, edges, /*high_key=*/false);
   // Weight-bucketed counting sort (weights are at most omega <= n). Kruskal
   // wants decreasing order - weight descending, then tie-break rank pair
   // descending - so buckets are laid out high weight first and filled by a
@@ -117,7 +276,6 @@ void max_weight_spanning_forest(const CliqueFamily& cliques,
     scratch.counts[w] = offset;
     offset += count;
   }
-  scratch.edges_tmp.resize(edges.size());
   for (std::size_t i = edges.size(); i-- > 0;) {
     scratch.edges_tmp[scratch.counts[edges[i].weight]++] = edges[i];
   }
@@ -224,35 +382,20 @@ CliqueForest CliqueForest::from_family(CliqueFamily cliques,
   forest.cliques_ = std::move(cliques);
   const std::size_t m = forest.cliques_.size();
 
-  // phi as a CSR slab: count memberships, prefix-sum, fill ascending in
-  // clique index so each vertex's row comes out sorted.
-  auto& moff = forest.member_offsets_;
-  moff.assign(static_cast<std::size_t>(num_graph_vertices) + 1, 0);
-  for (CliqueWord word : forest.cliques_) {
-    for (auto v : word) {
-      if (v < 0 || v >= num_graph_vertices) {
-        throw std::out_of_range("clique_membership: vertex out of range");
-      }
-      ++moff[static_cast<std::size_t>(v) + 1];
-    }
-  }
-  for (int v = 0; v < num_graph_vertices; ++v) moff[v + 1] += moff[v];
-  forest.member_.resize(
-      static_cast<std::size_t>(moff[num_graph_vertices]));
+  // The engine builds phi as a CSR slab on the way; the forest keeps it.
+  // The rest of the scratch is freed before the adjacency is allocated, so
+  // the adjacency can reuse that memory instead of landing above it.
+  std::vector<WcigEdge> edges;
   {
-    std::vector<EdgeIndex> cursor(moff.begin(), moff.end() - 1);
-    for (std::size_t c = 0; c < m; ++c) {
-      for (auto v : forest.cliques_[c]) {
-        forest.member_[static_cast<std::size_t>(cursor[v]++)] =
-            static_cast<CliqueId>(c);
-      }
-    }
+    ForestScratch scratch;
+    max_weight_spanning_forest(forest.cliques_, num_graph_vertices, scratch,
+                               edges);
+    forest.member_offsets_ = std::move(scratch.phi_offsets);
+    forest.member_ = std::move(scratch.phi);
   }
 
   // Forest adjacency as a CSR slab over the MWSF edges.
   std::int64_t chosen = 0;
-  auto edges =
-      max_weight_spanning_forest(forest.cliques_, num_graph_vertices);
   forest.adj_offsets_.assign(m + 1, 0);
   for (const auto& e : edges) {
     ++forest.adj_offsets_[static_cast<std::size_t>(e.a) + 1];

@@ -21,12 +21,13 @@ namespace chordal {
 
 class CliqueForest {
  public:
-  /// Full pipeline: verify chordality, extract maximal cliques, build W_G,
-  /// and select the unique MWSF via Kruskal over the deterministic order.
+  /// Full pipeline: verify chordality, extract maximal cliques, and select
+  /// the unique MWSF of W_G via Kruskal over the deterministic order.
   static CliqueForest build(const Graph& g);
 
   /// Builds the forest over an explicitly given (canonical, sorted) family
-  /// of maximal cliques. `num_graph_vertices` is n of the underlying graph.
+  /// of maximal cliques of a chordal graph. `num_graph_vertices` is n of
+  /// the underlying graph.
   static CliqueForest from_family(CliqueFamily cliques,
                                   int num_graph_vertices);
 
@@ -77,30 +78,43 @@ class CliqueForest {
   int num_graph_vertices_ = 0;
 };
 
-/// Kruskal selection shared with local-view computation: returns the edges
-/// of the unique MWSF of the W_G induced by `cliques`, processing edges in
-/// decreasing deterministic order. Allocating wrapper over the ForestScratch
-/// engine below - the only forest construction path of the library.
+/// Returns the edges of the unique MWSF of the W_G induced by `cliques`,
+/// processing edges in decreasing deterministic order. Allocating wrapper
+/// over the ForestScratch engine below - the only whole-graph forest
+/// construction path of the library.
 std::vector<WcigEdge> max_weight_spanning_forest(const CliqueFamily& cliques,
                                                  int num_graph_vertices);
 
-/// Allocation-free engine form: counting-sort W_G edge enumeration
-/// (wcig_edges_counting), a weight-bucketed counting sort in place of the
-/// comparison sort (weights are at most omega), and integer
-/// (weight, min rank, max rank) tie-breaks via a one-time lexicographic
-/// ranking of the clique words (the identity for canonical sorted
-/// families). `out` receives the chosen edges in decreasing deterministic
+/// Engine form. Precondition: `cliques` is the family of maximal cliques of
+/// a chordal graph on `num_graph_vertices` vertices, in any order (every
+/// caller passes maximal_cliques_chordal_family output, possibly
+/// shuffled); vertex ids out of range throw std::out_of_range.
+///
+/// Kruskal runs over separator candidates, not all of W_G: phi as a CSR
+/// slab (scratch.phi_offsets / scratch.phi), a maximum-cardinality search
+/// over cliques for the distinct minimal separators, and for each
+/// separator S the edges {d, top(S)} from every clique d containing S to
+/// the highest-ranked one. By the cycle property under the paper's order
+/// no other W_G edge can be in the forest, so these candidates (left in
+/// scratch.edges; one per non-top holder of each distinct separator, i.e.
+/// exactly the #cliques - 1 forest edges on a k-tree) yield the same
+/// forest as all of W_G. They are then radix-ordered by
+/// (min rank, max rank) through a one-time lexicographic ranking of the
+/// clique words (the identity for canonical sorted families),
+/// weight-bucketed (weights are at most omega), and fed to a scratch
+/// union-find. `out` receives the chosen edges in decreasing deterministic
 /// order, exactly as max_weight_spanning_forest_oracle emits them.
 void max_weight_spanning_forest(const CliqueFamily& cliques,
                                 int num_graph_vertices,
                                 ForestScratch& scratch,
                                 std::vector<WcigEdge>& out);
 
-/// The original allocating construction (wcig_edges + O(omega) comparator
-/// sort + fresh UnionFind), kept verbatim as the differential oracle that
-/// audit_forest_engine_parity and the tests check the engine against; no
-/// driver calls it. The CliqueFamily form expands to the nested
-/// representation first - it is a cold path by definition.
+/// The original allocating construction (all of W_G via wcig_edges +
+/// comparator sort + fresh UnionFind), kept verbatim as the differential
+/// oracle that audit_forest_engine_parity and the tests check the engine
+/// against; no driver calls it. It accepts any family of sorted cliques.
+/// The CliqueFamily form expands to the nested representation first - it
+/// is a cold path by definition.
 std::vector<WcigEdge> max_weight_spanning_forest_oracle(
     const std::vector<std::vector<int>>& cliques, int num_graph_vertices);
 std::vector<WcigEdge> max_weight_spanning_forest_oracle(

@@ -22,11 +22,13 @@ struct WcigEdge {
 };
 
 /// Reusable scratch for the near-linear clique-forest engine (in the style
-/// of local/workspace.hpp): epoch-stamped per-graph-vertex tables plus flat
-/// counting-sort / union-find buffers, so W_G edge enumeration and the
-/// Kruskal selection allocate nothing once the buffers are warm and never
-/// clear an O(n) array. One scratch per worker thread; a scratch must not
-/// be shared between concurrent calls.
+/// of local/workspace.hpp): per-graph-vertex tables plus flat counting-sort
+/// / union-find / search buffers, so the forest selections allocate
+/// nothing once the buffers are warm. The per-family paths use
+/// epoch-stamped tables and never clear an O(n) array; the whole-graph
+/// build resets its O(n) tables once per call, as it builds phi anyway.
+/// One scratch per worker thread; a scratch must not be shared between
+/// concurrent calls.
 struct ForestScratch {
   /// Grows the stamped vertex tables to cover ids [0, n) (no-op once
   /// sized). Called by every engine entry point.
@@ -47,8 +49,20 @@ struct ForestScratch {
   std::vector<int> counts;               // counting-sort histogram
   std::vector<int> weights;              // per-family dense weight matrix
   std::vector<WcigEdge> edges, edges_tmp;
-  std::vector<int> ranks;                // non-canonical families only
+  std::vector<int> ranks;                // lexicographic rank per clique
   std::vector<int> uf_parent, uf_rank;   // scratch union-find
+  // Sparse-candidate forest engine (max_weight_spanning_forest): phi as a
+  // CSR slab, the clique MCS bucket queue, and the distinct separators.
+  std::vector<EdgeIndex> phi_offsets;    // n+1
+  std::vector<CliqueId> phi;             // ascending clique ids per vertex
+  std::vector<char> vertex_flags;        // per vertex id: visited, marked
+  std::vector<int> mcs_count;            // |C_c cut visited|; -1 = visited
+  std::vector<std::vector<int>> mcs_buckets;  // clique stacks per count
+  std::vector<EdgeIndex> sep_offsets;    // distinct separators, as a slab
+  std::vector<VertexId> sep_vertices;
+  std::vector<int> sep_head;             // per pivot vertex: last separator
+  std::vector<int> sep_next;             // per separator: chain at its pivot
+  std::vector<int> holders;              // cliques containing a separator
 };
 
 /// All edges of W_G for the given clique family over vertices 0..n-1.
@@ -63,8 +77,11 @@ std::vector<WcigEdge> wcig_edges(const std::vector<std::vector<int>>& cliques,
 /// per-pair sorted merges) and the pair list is ordered by a two-pass radix
 /// sort over clique indices (no comparison sort). Runs in
 /// O(sum_v |phi(v)|^2 + #cliques) and touches only scratch storage - no
-/// O(n) membership table is built or cleared. Takes the flat CliqueFamily
-/// substrate; the nested reference form above stays as the oracle.
+/// O(n) membership table is built or cleared. No driver enumerates W_G any
+/// more (max_weight_spanning_forest runs Kruskal over separator
+/// candidates); this stays as the fast cross-check of the nested reference
+/// form above in the tests and as what the pipeline benchmark times as its
+/// W_G layer.
 void wcig_edges_counting(const CliqueFamily& cliques, int num_graph_vertices,
                          ForestScratch& scratch, std::vector<WcigEdge>& out);
 

@@ -45,6 +45,21 @@ Graph star_graph(int leaves) {
   return b.build();
 }
 
+Graph windmill_graph(int core, int blades, int blade_size) {
+  GraphBuilder b(core + blades * blade_size);
+  for (int i = 0; i < core; ++i) {
+    for (int j = i + 1; j < core; ++j) b.add_edge(i, j);
+  }
+  for (int blade = 0; blade < blades; ++blade) {
+    int lo = core + blade * blade_size;
+    for (int i = 0; i < blade_size; ++i) {
+      for (int j = 0; j < core; ++j) b.add_edge(lo + i, j);
+      for (int j = i + 1; j < blade_size; ++j) b.add_edge(lo + i, lo + j);
+    }
+  }
+  return b.build();
+}
+
 Graph caterpillar(int spine, int legs) {
   GraphBuilder b(spine * (1 + legs));
   for (int s = 0; s + 1 < spine; ++s) b.add_edge(s, s + 1);

@@ -26,6 +26,10 @@ Graph star_graph(int leaves);
 Graph caterpillar(int spine, int legs);
 /// Path of `handle` vertices ending in a star with `bristles` leaves.
 Graph broom(int handle, int bristles);
+/// Windmill: a `core` clique plus `blades` cliques of `blade_size` vertices,
+/// each joined to the whole core, so every core vertex is in every maximal
+/// clique.
+Graph windmill_graph(int core, int blades, int blade_size);
 
 // ---------------------------------------------------------------------------
 // Random families

@@ -1,9 +1,9 @@
 // Differential fuzz suite for the near-linear clique-forest engine: the
-// counting-sort, rank-indexed, scratch-based MWSF construction
-// (wcig_edges_counting / max_weight_spanning_forest / family_forest_edges)
-// must be bit-identical to the allocating reference oracle
-// (wcig_edges + wcig_edge_less + max_weight_spanning_forest_oracle) on
-// every workload - including the all-equal-weight tie storms of k-trees
+// counting-sort W_G enumeration (wcig_edges_counting), the separator-
+// candidate MWSF (max_weight_spanning_forest) and the per-family forests
+// (family_forest_edges) must be bit-identical to the allocating reference
+// oracle (wcig_edges + wcig_edge_less + max_weight_spanning_forest_oracle)
+// on every workload - including the all-equal-weight tie storms of k-trees
 // and unit-interval chains, where only the paper's deterministic
 // (weight, word, word) order separates the candidate edges. On top of the
 // construction-level checks, the drivers (MVC with per-node local views,
@@ -234,6 +234,62 @@ TEST(ForestEngine, MwsfMatchesReferenceOnShuffledFamilies) {
     max_weight_spanning_forest(CliqueFamily(cliques), g.num_vertices(),
                                scratch, fast);
     EXPECT_EQ(flat(reference), flat(fast)) << name;
+  }
+}
+
+TEST(ForestEngine, MwsfMatchesReferenceOnHubFamilies) {
+  // Hub packs: windmills, a star, K_7 and k-trees up to k = 8, where phi of
+  // a hub vertex spans most cliques - W_G is quadratic there, the engine's
+  // separator candidates are not, and whole weight classes tie.
+  ForestScratch scratch;
+  std::vector<WcigEdge> fast;
+  std::mt19937 rng(15);
+  auto check = [&](const std::string& name, const Graph& g) {
+    auto cliques = maximal_cliques_chordal(g);
+    for (bool shuffled : {false, true}) {
+      if (shuffled) std::shuffle(cliques.begin(), cliques.end(), rng);
+      auto reference =
+          max_weight_spanning_forest_oracle(cliques, g.num_vertices());
+      max_weight_spanning_forest(CliqueFamily(cliques), g.num_vertices(),
+                                 scratch, fast);
+      EXPECT_EQ(flat(reference), flat(fast))
+          << name << (shuffled ? " shuffled" : " canonical");
+    }
+  };
+  for (int core = 1; core <= 4; ++core) {
+    for (int blade_size = 1; blade_size <= 4; ++blade_size) {
+      check("windmill core=" + std::to_string(core) +
+                " blade=" + std::to_string(blade_size),
+            windmill_graph(core, 40, blade_size));
+    }
+  }
+  check("star", star_graph(40));
+  check("complete", complete_graph(7));
+  for (int k = 1; k <= 8; ++k) {
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+      check("k_tree k=" + std::to_string(k) + " seed=" + std::to_string(seed),
+            streaming_k_tree(2 * k + 2 + static_cast<int>(seed), k, seed));
+    }
+  }
+}
+
+TEST(ForestEngine, CandidatesAreTheForestOnKTrees) {
+  // Every separator of a k-tree is a k-set whose holders meet exactly in
+  // it, so the candidate list is exactly the forest: cliques - 1 edges,
+  // where W_G has sum_v |phi(v)|^2 of them. A count, not a timing, so a
+  // return of the quadratic term fails here on any machine.
+  struct Case {
+    int n, k;
+    std::uint64_t seed;
+  };
+  for (Case c : {Case{20000, 8, 17}, Case{50000, 3, 5}}) {
+    Graph g = streaming_k_tree(c.n, c.k, c.seed);
+    CliqueFamily family = maximal_cliques_chordal_family(g);
+    ForestScratch scratch;
+    std::vector<WcigEdge> out;
+    max_weight_spanning_forest(family, g.num_vertices(), scratch, out);
+    EXPECT_EQ(scratch.edges.size(), family.size() - 1) << "k=" << c.k;
+    EXPECT_EQ(out.size(), family.size() - 1) << "k=" << c.k;
   }
 }
 
