@@ -62,9 +62,9 @@ echo "== bench_scale -> $(basename "$out")"
 # interval/k-tree at n=10^4..10^6). Emits dyn.*.speedup gauges with
 # dyn.*.speedup_floor siblings that bench_gate.py enforces as a hard floor.
 # CHORDAL_DYNAMIC_SMOKE=1 restricts the matrix to the n=10^4 cells — the
-# full matrix takes ~5 minutes, most of it the k-tree n=10^6 churn, so
-# check.sh's gate step uses the smoke matrix while the committed baseline
-# is produced from a full run.
+# full matrix takes ~1 minute, most of it the n=10^6 adopts and rebuilds,
+# so check.sh's gate step uses the smoke matrix while the committed
+# baseline is produced from a full run.
 if [[ "${CHORDAL_DYNAMIC_SMOKE:-0}" == 1 ]]; then
   out="$out_dir/BENCH_DYNAMIC$suffix.json"
   echo "== bench_dynamic (smoke) -> $(basename "$out")"

@@ -401,9 +401,9 @@ std::vector<ScheduleCase> build_update_schedules(std::uint64_t seed,
     sc.name = "schedule#" + std::to_string(case_seed);
     // Small bases: the audit recomputes every derived structure after every
     // step across the whole execution matrix, so per-case cost must stay
-    // bounded. Shapes rotate through the generator families plus the empty
-    // and near-empty degenerate corners.
-    switch (rng.next_below(5)) {
+    // bounded. Shapes rotate through the generator families, the empty and
+    // near-empty degenerate corners, and hub bases.
+    switch (rng.next_below(6)) {
       case 0: {
         RandomChordalConfig c;
         c.n = 8 + static_cast<int>(rng.next_below(40));
@@ -427,6 +427,20 @@ std::vector<ScheduleCase> build_update_schedules(std::uint64_t seed,
       case 3:
         sc.base = degenerate_graph(static_cast<int>(
             rng.next_below(static_cast<std::uint64_t>(num_degenerate_graphs()))));
+        break;
+      case 4:
+        // Hub bases: a windmill core or a k-tree's hubs sit in most
+        // cliques, so an update there repairs a region larger than the
+        // dense Kruskal takes and runs the sparse forest engine.
+        if (rng.next_below(2) == 0) {
+          int k = 1 + static_cast<int>(rng.next_below(8));
+          sc.base = streaming_k_tree(
+              (k + 1) + static_cast<int>(rng.next_below(140)), k, rng.next());
+        } else {
+          sc.base = windmill_graph(1 + static_cast<int>(rng.next_below(4)),
+                                   50 + static_cast<int>(rng.next_below(71)),
+                                   1 + static_cast<int>(rng.next_below(2)));
+        }
         break;
       default:
         sc.base = disconnected_union(rng.next());

@@ -83,8 +83,10 @@ struct ScheduleCase {
 };
 
 /// Deterministic batch of update-schedule cases over small mixed chordal
-/// bases (incremental chordal, clique trees, k-trees, interval chains, and
-/// the degenerate catalogue's empty/tiny shapes).
+/// bases (incremental chordal, clique trees, k-trees, interval chains, the
+/// degenerate catalogue's empty/tiny shapes, and hub bases - windmills with
+/// 50-120 blades and k-trees with k up to 8 - whose repairs take the sparse
+/// forest engine).
 std::vector<ScheduleCase> build_update_schedules(std::uint64_t seed,
                                                  int count);
 

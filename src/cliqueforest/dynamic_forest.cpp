@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <ranges>
 #include <stdexcept>
+
+#include "cliqueforest/forest.hpp"
 
 namespace chordal {
 
@@ -64,14 +68,16 @@ void DynamicCliqueForest::init(const CliqueFamily& family,
   for (std::size_t c = 0; c < family.size(); ++c) {
     CliqueWord w = family[c];
     new_clique(std::vector<VertexId>(w.begin(), w.end()));
+    touched_.clear();  // adoption is no update: U stays word-sized
   }
   for (const WcigEdge& e : forest) add_forest_edge(e.a, e.b, e.weight);
+  pending_ = {};
 }
 
 void DynamicCliqueForest::ensure_vertex_slots(int n) {
   if (static_cast<std::size_t>(n) > phi_.size()) {
     phi_.resize(static_cast<std::size_t>(n));
-    vstamp_.resize(phi_.size(), 0);
+    relabel_.resize(phi_.size());
   }
 }
 
@@ -126,6 +132,8 @@ int DynamicCliqueForest::new_clique(std::vector<VertexId> word) {
     insert_sorted(phi_[static_cast<std::size_t>(v)],
                   static_cast<std::int32_t>(c));
   }
+  touched_.insert(touched_.end(), words_[ci].begin(), words_[ci].end());
+  ++pending_.cliques_added;
   ++alive_cliques_;
   return c;
 }
@@ -133,17 +141,8 @@ int DynamicCliqueForest::new_clique(std::vector<VertexId> word) {
 void DynamicCliqueForest::kill_clique(int c) {
   auto ci = static_cast<std::size_t>(c);
   assert(cl_alive_[ci]);
-  // Batch capture for the repair: which slot died and who its forest
-  // neighbors were at the moment of death. A dead-dead adjacency is always
-  // captured by the earlier kill (the later one no longer sees the edge).
-  ensure_clique_scratch();
-  kstamp_[ci] = kepoch_;
-  kidx_[ci] = static_cast<std::int32_t>(kill_log_.size());
-  kill_log_.push_back(static_cast<std::int32_t>(c));
-  kill_nbrs_.emplace_back();
-  for (const ForestNeighbor& nb : forest_[ci]) {
-    kill_nbrs_.back().push_back(nb.clique);
-  }
+  touched_.insert(touched_.end(), words_[ci].begin(), words_[ci].end());
+  ++pending_.cliques_removed;
   for (VertexId v : words_[ci]) {
     erase_sorted(phi_[static_cast<std::size_t>(v)],
                  static_cast<std::int32_t>(c));
@@ -172,493 +171,90 @@ void DynamicCliqueForest::add_forest_edge(int a, int b, int weight) {
       {static_cast<std::int32_t>(a), static_cast<std::int32_t>(weight)});
 }
 
-void DynamicCliqueForest::remove_forest_edge(int a, int b) {
-  for (int pass = 0; pass < 2; ++pass) {
-    auto& row = forest_[static_cast<std::size_t>(pass == 0 ? a : b)];
-    std::int32_t other = static_cast<std::int32_t>(pass == 0 ? b : a);
-    for (std::size_t k = 0; k < row.size(); ++k) {
-      if (row[k].clique == other) {
-        row[k] = row.back();
-        row.pop_back();
-        break;
-      }
-    }
-  }
-}
-
-bool DynamicCliqueForest::has_forest_edge(int a, int b) const {
-  const auto& row = forest_[static_cast<std::size_t>(a)];
-  for (const ForestNeighbor& nb : row) {
-    if (nb.clique == b) return true;
-  }
-  return false;
-}
-
-int DynamicCliqueForest::intersection_weight(int a, int b) const {
-  return word_intersection_size(word(a), word(b));
-}
-
-bool DynamicCliqueForest::edge_order_less(int a1, int b1, int w1, int a2,
-                                          int b2, int w2) const {
-  if (w1 != w2) return w1 < w2;
-  CliqueWord l1 = word(a1), h1 = word(b1);
-  if (word_less(h1, l1)) std::swap(l1, h1);
-  CliqueWord l2 = word(a2), h2 = word(b2);
-  if (word_less(h2, l2)) std::swap(l2, h2);
-  if (!word_eq(l1, l2)) return word_less(l1, l2);
-  return word_less(h1, h2);
-}
-
-void DynamicCliqueForest::ensure_clique_scratch() {
-  auto size = static_cast<std::size_t>(num_clique_slots());
-  if (cstamp_.size() < size) {
-    cstamp_.resize(size, 0);
-    cparent_.resize(size, -1);
-    cparent_w_.resize(size, 0);
-    bparent_.resize(size, -1);
-    bparent_w_.resize(size, 0);
-    kstamp_.resize(size, 0);
-    kidx_.resize(size, -1);
-    lstamp_.resize(size, 0);
-    label_.resize(size, -1);
-    pw_a_.resize(size, -1);
-    pw_b_.resize(size, -1);
-    pw_w_.resize(size, 0);
-  }
-}
-
-void DynamicCliqueForest::begin_batch() {
-  removed_words_.clear();
-  added_slots_.clear();
-  kill_log_.clear();
-  kill_nbrs_.clear();
-  ++kepoch_;
-}
-
-int DynamicCliqueForest::find_label(int id) {
-  while (ldsu_[static_cast<std::size_t>(id)] != id) {
-    ldsu_[static_cast<std::size_t>(id)] =
-        ldsu_[static_cast<std::size_t>(ldsu_[static_cast<std::size_t>(id)])];
-    id = ldsu_[static_cast<std::size_t>(id)];
-  }
-  return id;
-}
-
-int DynamicCliqueForest::fresh_label(int cluster, bool safe) {
-  int id = static_cast<int>(ldsu_.size());
-  ldsu_.push_back(static_cast<std::int32_t>(id));
-  lcluster_.push_back(static_cast<std::int32_t>(cluster));
-  lsafe_.push_back(safe ? 1 : 0);
-  return id;
-}
-
-void DynamicCliqueForest::union_labels(int ra, int rb) {
-  // Metadata merge is conservative: a root spanning two dead clusters can
-  // no longer vouch for "distinct root implies distinct fragment" against
-  // either cluster, so it degrades to -2 (always verify).
-  int ca = lcluster_[static_cast<std::size_t>(ra)];
-  int cb = lcluster_[static_cast<std::size_t>(rb)];
-  int merged = ca == cb ? ca : (ca == -1 ? cb : (cb == -1 ? ca : -2));
-  char safe = static_cast<char>(lsafe_[static_cast<std::size_t>(ra)] &&
-                                lsafe_[static_cast<std::size_t>(rb)]);
-  ldsu_[static_cast<std::size_t>(ra)] = static_cast<std::int32_t>(rb);
-  lcluster_[static_cast<std::size_t>(rb)] = static_cast<std::int32_t>(merged);
-  lsafe_[static_cast<std::size_t>(rb)] = safe;
-}
-
-bool DynamicCliqueForest::insert_candidate(int a, int b,
-                                           ForestRepairStats& stats) {
-  int w = intersection_weight(a, b);
-  assert(w >= 1);
-  ensure_clique_scratch();
-  // Phase A - restricted walk. In a coherent clique forest the a-b path
-  // lies inside the cliques containing I = word(a) cut word(b) (induced-
-  // subtree property), a region bounded by the smallest phi among the
-  // shared vertices, typically a handful of cliques.
-  ivec_.clear();
-  {
-    CliqueWord wa = word(a), wb = word(b);
-    std::size_t i = 0, j = 0;
-    while (i < wa.size() && j < wb.size()) {
-      if (wa[i] < wb[j]) {
-        ++i;
-      } else if (wb[j] < wa[i]) {
-        ++j;
-      } else {
-        ivec_.push_back(wa[i]);
-        ++i;
-        ++j;
-      }
-    }
-  }
-  ++cepoch_;
-  cqueue_.clear();
-  cqueue_.push_back(static_cast<std::int32_t>(a));
-  cstamp_[static_cast<std::size_t>(a)] = cepoch_;
-  cparent_[static_cast<std::size_t>(a)] = -1;
-  bool found = false;
-  for (std::size_t head = 0; head < cqueue_.size() && !found; ++head) {
-    int x = cqueue_[head];
-    ++stats.path_steps;
-    for (const ForestNeighbor& nb : forest_[static_cast<std::size_t>(x)]) {
-      auto ni = static_cast<std::size_t>(nb.clique);
-      if (cstamp_[ni] == cepoch_) continue;
-      if (!word_subset(ivec_, word(nb.clique))) continue;
-      cstamp_[ni] = cepoch_;
-      cparent_[ni] = static_cast<std::int32_t>(x);
-      cparent_w_[ni] = nb.weight;
-      if (nb.clique == b) {
-        found = true;
-        break;
-      }
-      cqueue_.push_back(nb.clique);
-    }
-  }
-  if (!found) {
-    // Phase B - unrestricted bidirectional search. Expands one node per
-    // side per turn, so a genuine cross-fragment join costs the SMALLER
-    // component (typically the new clique's budding tree), not the giant
-    // one. Mid-repair incoherence (the restricted region being split while
-    // fragments are still reattaching) lands here too and stays exact.
-    std::uint64_t ea = ++cepoch_;
-    std::uint64_t eb = ++cepoch_;
-    cqueue_.clear();
-    bqueue_.clear();
-    cqueue_.push_back(static_cast<std::int32_t>(a));
-    bqueue_.push_back(static_cast<std::int32_t>(b));
-    cstamp_[static_cast<std::size_t>(a)] = ea;
-    cparent_[static_cast<std::size_t>(a)] = -1;
-    cstamp_[static_cast<std::size_t>(b)] = eb;
-    bparent_[static_cast<std::size_t>(b)] = -1;
-    std::size_t ha = 0, hb = 0;
-    int meet_a = -1, meet_b = -1, meet_w = 0;
-    while (meet_a < 0 && ha < cqueue_.size() && hb < bqueue_.size()) {
-      for (int side = 0; side < 2 && meet_a < 0; ++side) {
-        auto& queue = side == 0 ? cqueue_ : bqueue_;
-        auto& head = side == 0 ? ha : hb;
-        if (head >= queue.size()) continue;
-        int x = queue[head++];
-        ++stats.path_steps;
-        for (const ForestNeighbor& nb :
-             forest_[static_cast<std::size_t>(x)]) {
-          auto ni = static_cast<std::size_t>(nb.clique);
-          std::uint64_t mine = side == 0 ? ea : eb;
-          std::uint64_t theirs = side == 0 ? eb : ea;
-          if (cstamp_[ni] == mine) continue;
-          if (cstamp_[ni] == theirs) {
-            meet_a = side == 0 ? x : nb.clique;
-            meet_b = side == 0 ? nb.clique : x;
-            meet_w = nb.weight;
-            break;
-          }
-          cstamp_[ni] = mine;
-          if (side == 0) {
-            cparent_[ni] = static_cast<std::int32_t>(x);
-            cparent_w_[ni] = nb.weight;
-          } else {
-            bparent_[ni] = static_cast<std::int32_t>(x);
-            bparent_w_[ni] = nb.weight;
-          }
-          queue.push_back(nb.clique);
-        }
-      }
-    }
-    if (meet_a < 0) {
-      add_forest_edge(a, b, w);
-      return false;
-    }
-    // Stitch: reverse the b-rooted parent chain so cparent_ walks b -> a
-    // through the meeting edge, as the swap loop below expects.
-    int prev = meet_a, prev_w = meet_w, cur = meet_b;
-    while (cur != -1) {
-      int nxt = bparent_[static_cast<std::size_t>(cur)];
-      int nxt_w = bparent_w_[static_cast<std::size_t>(cur)];
-      cparent_[static_cast<std::size_t>(cur)] =
-          static_cast<std::int32_t>(prev);
-      cparent_w_[static_cast<std::size_t>(cur)] =
-          static_cast<std::int32_t>(prev_w);
-      prev = cur;
-      prev_w = nxt_w;
-      cur = nxt;
-    }
-  }
-  int worst_a = -1, worst_b = -1, worst_w = 0;
-  for (int p = b; p != a; p = cparent_[static_cast<std::size_t>(p)]) {
-    int q = cparent_[static_cast<std::size_t>(p)];
-    int pw = cparent_w_[static_cast<std::size_t>(p)];
-    if (worst_a < 0 || edge_order_less(q, p, pw, worst_a, worst_b, worst_w)) {
-      worst_a = q;
-      worst_b = p;
-      worst_w = pw;
-    }
-  }
-  if (edge_order_less(worst_a, worst_b, worst_w, a, b, w)) {
-    remove_forest_edge(worst_a, worst_b);
-    add_forest_edge(a, b, w);
-    ++stats.edge_swaps;
-  }
-  return true;
-}
-
-void DynamicCliqueForest::repair(ForestRepairStats& stats) {
-  stats.cliques_removed += static_cast<int>(removed_words_.size());
-  stats.cliques_added += static_cast<int>(added_slots_.size());
-  ensure_clique_scratch();
-
-  // ---- Removal phase: reconnect the fragments around the killed set. ----
-  if (!kill_log_.empty()) {
-    // Cluster the killed cliques by old-forest adjacency (captured at kill
-    // time). A connected killed set - always the case for edge and vertex
-    // deletion - makes distinct fragment labels provably distinct.
-    kdsu_.resize(kill_log_.size());
-    for (std::size_t i = 0; i < kill_log_.size(); ++i) {
-      kdsu_[i] = static_cast<std::int32_t>(i);
-    }
-    auto kfind = [&](int i) {
-      while (kdsu_[static_cast<std::size_t>(i)] != i) {
-        kdsu_[static_cast<std::size_t>(i)] =
-            kdsu_[static_cast<std::size_t>(
-                kdsu_[static_cast<std::size_t>(i)])];
-        i = kdsu_[static_cast<std::size_t>(i)];
-      }
-      return i;
-    };
-    for (std::size_t i = 0; i < kill_log_.size(); ++i) {
-      for (std::int32_t nb : kill_nbrs_[i]) {
-        auto ni = static_cast<std::size_t>(nb);
-        if (kstamp_[ni] != kepoch_) continue;  // survivor (or reused later)
-        int ra = kfind(static_cast<int>(i));
-        int rb = kfind(kidx_[ni]);
-        if (ra != rb) kdsu_[static_cast<std::size_t>(ra)] = rb;
-      }
-    }
-
-    // Candidate region: vertices of the killed words. Every survivor
-    // candidate endpoint contains one (its old rejection path entered the
-    // killed set through a clique sharing its intersection).
-    ++vepoch_;
-    vmarks_.clear();
-    for (const auto& rw : removed_words_) {
-      for (VertexId v : rw) {
-        auto vi = static_cast<std::size_t>(v);
-        if (vstamp_[vi] != vepoch_) {
-          vstamp_[vi] = vepoch_;
-          vmarks_.push_back(v);
-        }
-      }
-    }
-
-    // Fragment labels: walk from each alive former neighbor of a killed
-    // clique, restricted to cliques whose word meets the region. By the
-    // induced-subtree property this covers every candidate endpoint while
-    // never touching the rest of the component.
-    ++lepoch_;
-    ldsu_.clear();
-    lcluster_.clear();
-    lsafe_.clear();
-    for (std::size_t i = 0; i < kill_log_.size(); ++i) {
-      int cluster = kfind(static_cast<int>(i));
-      for (std::int32_t anchor : kill_nbrs_[i]) {
-        auto ai = static_cast<std::size_t>(anchor);
-        if (kstamp_[ai] == kepoch_) continue;  // killed later in the batch
-        if (lstamp_[ai] == lepoch_) continue;  // same fragment, seen already
-        int lab = fresh_label(cluster, /*safe=*/true);
-        lstamp_[ai] = lepoch_;
-        label_[ai] = static_cast<std::int32_t>(lab);
-        cqueue_.clear();
-        cqueue_.push_back(anchor);
-        for (std::size_t head = 0; head < cqueue_.size(); ++head) {
-          int x = cqueue_[head];
-          ++stats.path_steps;
-          for (const ForestNeighbor& nb :
-               forest_[static_cast<std::size_t>(x)]) {
-            auto ni = static_cast<std::size_t>(nb.clique);
-            if (lstamp_[ni] == lepoch_) continue;
-            bool eligible = false;
-            for (VertexId v : word(nb.clique)) {
-              if (vstamp_[static_cast<std::size_t>(v)] == vepoch_) {
-                eligible = true;
-                break;
-              }
-            }
-            if (!eligible) continue;
-            lstamp_[ni] = lepoch_;
-            label_[ni] = static_cast<std::int32_t>(lab);
-            cqueue_.push_back(nb.clique);
-          }
-        }
-      }
-    }
-    // New cliques are isolated singleton fragments until attached.
-    for (std::int32_t c : added_slots_) {
+ForestRepairStats DynamicCliqueForest::repair() {
+  ForestRepairStats stats = pending_;
+  pending_ = {};
+  // R: the alive cliques meeting U. Killed cliques already took their
+  // forest edges with them; the edges inside R go now, the edges leaving R
+  // stay (their separators avoid U).
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                 touched_.end());
+  if (rstamp_.size() < words_.size()) rstamp_.resize(words_.size(), 0);
+  ++repoch_;
+  region_.clear();
+  for (VertexId u : touched_) {
+    for (std::int32_t c : phi_[static_cast<std::size_t>(u)]) {
       auto ci = static_cast<std::size_t>(c);
-      if (lstamp_[ci] == lepoch_) continue;
-      lstamp_[ci] = lepoch_;
-      label_[ci] = static_cast<std::int32_t>(
-          fresh_label(/*cluster=*/-1, /*safe=*/true));
-    }
-
-    // Crossing pairs only: a survivor-survivor candidate whose endpoints
-    // share a fragment was rejected against a path that still exists, so
-    // it can never enter the MWSF.
-    auto label_of = [&](std::int32_t x) {
-      auto xi = static_cast<std::size_t>(x);
-      if (lstamp_[xi] != lepoch_) {
-        // Unreached endpoint (should not happen for survivors; defensive):
-        // own fragment, but never trusted without a real path search.
-        lstamp_[xi] = lepoch_;
-        label_[xi] = static_cast<std::int32_t>(
-            fresh_label(/*cluster=*/-2, /*safe=*/false));
-      }
-      return find_label(label_[xi]);
-    };
-    pool_.clear();
-    for (VertexId v : vmarks_) {
-      const auto& ph = phi_[static_cast<std::size_t>(v)];
-      if (ph.size() < 2) continue;
-      // One root per member first: when the fragment did not split at v
-      // (the killed clique was a leaf of T(v)), this skips the quadratic
-      // scan entirely.
-      roots_.clear();
-      bool split = false;
-      for (std::size_t i = 0; i < ph.size(); ++i) {
-        roots_.push_back(static_cast<std::int32_t>(label_of(ph[i])));
-        split = split || roots_[i] != roots_[0];
-      }
-      if (!split) continue;
-      for (std::size_t i = 0; i < ph.size(); ++i) {
-        for (std::size_t j = i + 1; j < ph.size(); ++j) {
-          if (roots_[i] != roots_[j]) pool_.emplace_back(ph[i], ph[j]);
-        }
-      }
-    }
-    std::sort(pool_.begin(), pool_.end());
-    pool_.erase(std::unique(pool_.begin(), pool_.end()), pool_.end());
-    stats.pool_edges += static_cast<int>(pool_.size());
-
-    // Canonical-order Kruskal over the crossing pool. Trusted distinct
-    // labels add their edge with no path search; ambiguous ones (different
-    // dead clusters, defensive labels) verify with the full online rule.
-    cand_.clear();
-    cand_.reserve(pool_.size());
-    for (const auto& [a, b] : pool_) {
-      cand_.push_back({static_cast<std::int32_t>(intersection_weight(a, b)),
-                       a, b});
-    }
-    std::sort(cand_.begin(), cand_.end(),
-              [this](const Cand& x, const Cand& y) {
-                return edge_order_less(y.a, y.b, y.w, x.a, x.b, x.w);
-              });
-    for (const Cand& cd : cand_) {
-      int ra = label_of(cd.a);
-      int rb = label_of(cd.b);
-      if (ra == rb) continue;
-      int ca = lcluster_[static_cast<std::size_t>(ra)];
-      int cb = lcluster_[static_cast<std::size_t>(rb)];
-      bool trusted = lsafe_[static_cast<std::size_t>(ra)] &&
-                     lsafe_[static_cast<std::size_t>(rb)] &&
-                     ((ca == cb && ca >= 0) || ca == -1 || cb == -1);
-      if (trusted) {
-        add_forest_edge(cd.a, cd.b, cd.w);
-      } else if (!has_forest_edge(cd.a, cd.b)) {
-        insert_candidate(cd.a, cd.b, stats);
-      }
-      union_labels(ra, rb);
+      if (rstamp_[ci] == repoch_) continue;
+      rstamp_[ci] = repoch_;
+      region_.push_back(c);
     }
   }
-
-  // ---- Added phase: fold in the rows of the new cliques. ----
-  // Every row is folded with the exact online swap rule (this is also what
-  // evicts surviving old-forest edges that the new cliques make obsolete -
-  // only added-incident cycles can do that, because a survivor-only cycle
-  // would already have existed in the old W-graph). The per-row path search
-  // is amortized: one worst-edge-on-path flood from the new clique answers
-  // every row against the unique tree path in O(1), and is redone only when
-  // a fold actually modifies the forest.
-  for (std::int32_t c : added_slots_) {
-    rows_.clear();
-    for (VertexId v : word(c)) {
-      for (std::int32_t d : phi_[static_cast<std::size_t>(v)]) {
-        if (d != c) rows_.push_back(d);
-      }
-    }
-    std::sort(rows_.begin(), rows_.end());
-    rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
-    stats.pool_edges += static_cast<int>(rows_.size());
-    std::uint64_t flood = 0;  // 0 = stale (forest changed since last flood)
-    for (std::int32_t d : rows_) {
-      if (has_forest_edge(c, d)) continue;
-      if (flood == 0) flood = flood_worst_paths(c, stats);
-      if (cstamp_[static_cast<std::size_t>(d)] == flood) {
-        // d reached: pw_* hold the canonical-worst edge on the unique tree
-        // path c -> d. Swap iff the candidate beats it, as insert_candidate
-        // would conclude.
-        int w = intersection_weight(c, d);
-        auto di = static_cast<std::size_t>(d);
-        if (pw_a_[di] >= 0 &&
-            edge_order_less(pw_a_[di], pw_b_[di], pw_w_[di], c, d, w)) {
-          remove_forest_edge(pw_a_[di], pw_b_[di]);
-          add_forest_edge(c, d, w);
-          ++stats.edge_swaps;
-          flood = 0;
-        }
-      } else {
-        // Unreached: different component, or a path escaping the flood
-        // region (transient incoherence). The full search settles it.
-        int swaps_before = stats.edge_swaps;
-        bool connected = insert_candidate(c, d, stats);
-        if (!connected || stats.edge_swaps != swaps_before) flood = 0;
-      }
-    }
+  touched_.clear();
+  for (std::int32_t c : region_) {
+    auto& row = forest_[static_cast<std::size_t>(c)];
+    std::erase_if(row, [this](const ForestNeighbor& nb) {
+      return rstamp_[static_cast<std::size_t>(nb.clique)] == repoch_;
+    });
   }
-  removed_words_.clear();
-  added_slots_.clear();
-}
+  if (region_.size() < 2) return stats;
 
-std::uint64_t DynamicCliqueForest::flood_worst_paths(int c,
-                                                     ForestRepairStats& stats) {
-  // BFS from c restricted to cliques sharing a vertex with word(c); by the
-  // induced-subtree property the whole tree path of every row lies there
-  // when the forest is coherent. A forest has one path per node pair, so a
-  // reached node's flood path IS its tree path and the worst-edge DP over
-  // it is exact; unreached nodes simply fall back to the full search.
-  ensure_clique_scratch();
-  ++cepoch_;
-  cqueue_.clear();
-  cqueue_.push_back(static_cast<std::int32_t>(c));
-  auto ci = static_cast<std::size_t>(c);
-  cstamp_[ci] = cepoch_;
-  pw_a_[ci] = -1;  // empty path
-  for (std::size_t head = 0; head < cqueue_.size(); ++head) {
-    int x = cqueue_[head];
-    auto xi = static_cast<std::size_t>(x);
-    ++stats.path_steps;
-    for (const ForestNeighbor& nb : forest_[xi]) {
-      auto ni = static_cast<std::size_t>(nb.clique);
-      if (cstamp_[ni] == cepoch_) continue;
-      if (word_intersection_size(word(c), word(nb.clique)) == 0) continue;
-      cstamp_[ni] = cepoch_;
-      if (pw_a_[xi] < 0 ||
-          edge_order_less(x, nb.clique, nb.weight, pw_a_[xi], pw_b_[xi],
-                          pw_w_[xi])) {
-        pw_a_[ni] = static_cast<std::int32_t>(x);
-        pw_b_[ni] = nb.clique;
-        pw_w_[ni] = nb.weight;
-      } else {
-        pw_a_[ni] = pw_a_[xi];
-        pw_b_[ni] = pw_b_[xi];
-        pw_w_[ni] = pw_w_[xi];
-      }
-      cqueue_.push_back(nb.clique);
+  // MWSF of W[R] by a batch engine, over R in word order (rank == index).
+  std::sort(region_.begin(), region_.end(), [this](int a, int b) {
+    return word_less(word(a), word(b));
+  });
+  const int f = static_cast<int>(region_.size());
+  region_family_.clear();
+  if (f <= kDenseRegion) {
+    for (std::int32_t c : region_) region_family_.push_word(word(c));
+    region_ids_.resize(region_.size());
+    std::iota(region_ids_.begin(), region_ids_.end(), CliqueId{0});
+    dense_out_.clear();
+    family_forest_edges(region_family_, region_ids_, engine_, dense_out_);
+    stats.pool_edges += static_cast<int>(engine_.pair_a.size());
+    for (auto [i, j] : dense_out_) {
+      int a = region_[static_cast<std::size_t>(i)];
+      int b = region_[static_cast<std::size_t>(j)];
+      add_forest_edge(a, b, word_intersection_size(word(a), word(b)));
     }
+    return stats;
   }
-  return cepoch_;
+  // Hub region: the sparse engine's tables are O(#vertices), so relabel
+  // R's vertices to 0..k-1 first. The relabel is monotone, hence keeps the
+  // words sorted and their lexicographic order.
+  region_vertices_.clear();
+  for (std::int32_t c : region_) {
+    region_vertices_.insert(region_vertices_.end(), word(c).begin(),
+                            word(c).end());
+  }
+  std::sort(region_vertices_.begin(), region_vertices_.end());
+  region_vertices_.erase(
+      std::unique(region_vertices_.begin(), region_vertices_.end()),
+      region_vertices_.end());
+  for (std::size_t i = 0; i < region_vertices_.size(); ++i) {
+    relabel_[static_cast<std::size_t>(region_vertices_[i])] =
+        static_cast<VertexId>(i);
+  }
+  auto relabel = [this](VertexId v) {
+    return relabel_[static_cast<std::size_t>(v)];
+  };
+  for (std::int32_t c : region_) {
+    region_family_.push_word(word(c) | std::views::transform(relabel));
+  }
+  max_weight_spanning_forest(region_family_,
+                             static_cast<int>(region_vertices_.size()),
+                             engine_, sparse_out_);
+  stats.pool_edges += static_cast<int>(engine_.edges.size());
+  for (const WcigEdge& e : sparse_out_) {
+    add_forest_edge(region_[static_cast<std::size_t>(e.a)],
+                    region_[static_cast<std::size_t>(e.b)], e.weight);
+  }
+  return stats;
 }
 
 ForestRepairStats DynamicCliqueForest::apply_edge_insert(
     int u, int v, std::span<const int> common) {
-  ForestRepairStats stats;
-  begin_batch();
   std::vector<VertexId> new_word;
   new_word.reserve(common.size() + 2);
   for (int x : common) new_word.push_back(static_cast<VertexId>(x));
@@ -672,23 +268,17 @@ ForestRepairStats DynamicCliqueForest::apply_edge_insert(
     for (std::size_t i = 0; i < ph.size();) {
       int c = ph[i];
       if (word_subset(word(c), new_word)) {
-        removed_words_.push_back(
-            std::vector<VertexId>(word(c).begin(), word(c).end()));
         kill_clique(c);  // erases ph[i]; do not advance
       } else {
         ++i;
       }
     }
   }
-  added_slots_.push_back(
-      static_cast<std::int32_t>(new_clique(std::move(new_word))));
-  repair(stats);
-  return stats;
+  new_clique(std::move(new_word));
+  return repair();
 }
 
 ForestRepairStats DynamicCliqueForest::apply_edge_delete(int u, int v) {
-  ForestRepairStats stats;
-  begin_batch();
   std::int32_t holders[2];
   int count = cliques_containing_edge(u, v, holders);
   if (count != 1) {
@@ -713,26 +303,16 @@ ForestRepairStats DynamicCliqueForest::apply_edge_delete(int u, int v) {
         break;
       }
     }
-    if (!contained) {
-      added_slots_.push_back(
-          static_cast<std::int32_t>(new_clique(std::move(cand))));
-    }
+    if (!contained) new_clique(std::move(cand));
   }
-  removed_words_.push_back(std::move(kw));
-  repair(stats);
-  return stats;
+  return repair();
 }
 
 ForestRepairStats DynamicCliqueForest::apply_vertex_insert(
     int z, std::span<const std::vector<int>> gx_cliques) {
-  ForestRepairStats stats;
-  begin_batch();
   ensure_vertex_slots(z + 1);
   assert(phi_[static_cast<std::size_t>(z)].empty());
-  if (gx_cliques.empty()) {
-    added_slots_.push_back(static_cast<std::int32_t>(
-        new_clique({static_cast<VertexId>(z)})));
-  }
+  if (gx_cliques.empty()) new_clique({static_cast<VertexId>(z)});
   for (const auto& m : gx_cliques) {
     // An old maximal clique dies iff it equals a maximal clique of G[X]
     // (it then gains z and stops being maximal on its own).
@@ -740,8 +320,6 @@ ForestRepairStats DynamicCliqueForest::apply_vertex_insert(
     for (std::int32_t c : phi_[static_cast<std::size_t>(m.front())]) {
       if (word(c).size() == m.size() &&
           std::equal(m.begin(), m.end(), word(c).begin())) {
-        removed_words_.push_back(
-            std::vector<VertexId>(word(c).begin(), word(c).end()));
         kill_clique(c);
         break;
       }
@@ -751,21 +329,16 @@ ForestRepairStats DynamicCliqueForest::apply_vertex_insert(
     for (int x : m) nw.push_back(static_cast<VertexId>(x));
     nw.push_back(static_cast<VertexId>(z));
     std::sort(nw.begin(), nw.end());
-    added_slots_.push_back(static_cast<std::int32_t>(new_clique(std::move(nw))));
+    new_clique(std::move(nw));
   }
-  repair(stats);
-  return stats;
+  return repair();
 }
 
 ForestRepairStats DynamicCliqueForest::apply_vertex_delete(int z) {
-  ForestRepairStats stats;
-  begin_batch();
   std::vector<std::int32_t> dying(phi_[static_cast<std::size_t>(z)].begin(),
                                   phi_[static_cast<std::size_t>(z)].end());
   std::vector<std::vector<VertexId>> cands;
   for (std::int32_t c : dying) {
-    removed_words_.push_back(
-        std::vector<VertexId>(word(c).begin(), word(c).end()));
     std::vector<VertexId> cand;
     cand.reserve(word(c).size() - 1);
     for (VertexId x : word(c)) {
@@ -786,13 +359,9 @@ ForestRepairStats DynamicCliqueForest::apply_vertex_delete(int z) {
         break;
       }
     }
-    if (!contained) {
-      added_slots_.push_back(
-          static_cast<std::int32_t>(new_clique(std::move(cand))));
-    }
+    if (!contained) new_clique(std::move(cand));
   }
-  repair(stats);
-  return stats;
+  return repair();
 }
 
 CliqueFamily DynamicCliqueForest::canonical_family() const {

@@ -20,39 +20,28 @@
 //                 G[X]; old cliques die iff they are one of those M.
 //     delete z:   every K in phi(z) dies; K-z is reinstated iff maximal.
 //
-//   forest repair: removed cliques take their forest edges with them; the
-//   unique MWSF of the new weighted clique intersection graph is then a
-//   subset of (surviving forest edges) + (candidate pool), where the pool is
-//   every W-edge between two cliques sharing a vertex with a removed clique
-//   plus every W-edge incident to an added clique. (Cycle rule: a W-edge
-//   outside the old forest was rejected against a forest path; if that path
-//   survives it is still rejected, and if it died it passed through a
-//   removed clique K, which by the clique-tree separator property contains
-//   the edge's intersection - putting the edge in the pool.)
+//   forest repair (region rebuild): let U be the vertices of the removed
+//   and added words and R the alive cliques meeting U. Every forest edge
+//   with both endpoints in R is dropped and replaced by the MWSF of W[R],
+//   computed by the batch engines of cliqueforest/forest.hpp; nothing else
+//   changes. Exactness rests on Lemma 2 (T(x) is the MWSF of W[phi(x)]):
+//   an edge whose separator avoids U lies in T(x) for a vertex x whose phi
+//   the update did not touch, so it survives as is - and every edge leaving
+//   R has such a separator. Inside R, the new forest has one tree per
+//   component of G'[U]; for all four update kinds two components of G'[U]
+//   share no neighbor, so cliques of different trees share no vertex, W'[R]
+//   has exactly those components, and by the cycle property (a better path
+//   inside W'[R] is one in W') the new forest restricted to R is
+//   MWSF(W'[R]). Each tree is a clique tree of the union of its words, so R
+//   is the maximal-clique family of a chordal graph - the batch engine's
+//   precondition. EXPERIMENTS E17 writes the argument out in full.
 //
-//   The pool is consumed in two phases. Removal phase: a survivor-survivor
-//   candidate can only enter the MWSF when its old rejection path died, i.e.
-//   when its endpoints sit in different fragments of (old forest - killed
-//   cliques) - so the repair labels those fragments first (a walk from each
-//   alive former neighbor of a killed clique, restricted to cliques meeting
-//   a killed word; by the induced-subtree property that region covers every
-//   candidate endpoint) and runs canonical-order Kruskal over the CROSSING
-//   pairs only, with a DSU over fragment labels in place of per-candidate
-//   path searches. When the killed set is connected (always, for edge and
-//   vertex deletion) distinct labels provably mean distinct fragments and
-//   the selected edges are added with no search at all; the rare ambiguous
-//   labels (disconnected killed sets from insertions, under-explored
-//   regions) fall back to a real path search before any edge is added, so
-//   the forest can never acquire a cycle. Added phase: each W-edge incident
-//   to a new clique is folded in with the classic online-MST swap - find the
-//   tree path between its endpoints, evict the path edge that Kruskal would
-//   have processed last (paper order: weight, then lex word pair) if the
-//   candidate beats it. The path search itself walks the restricted region
-//   first (path cliques all contain the endpoints' intersection, again by
-//   the induced-subtree property) and falls back to an unrestricted
-//   bidirectional search that settles genuine cross-fragment joins at the
-//   cost of the smaller side. Every intermediate forest is the exact unique
-//   MWSF of the edges seen so far, so the result is bit-identical (as a set
+//   Engine per region: R is sorted by word (the paper's tie-break order).
+//   Up to kDenseRegion cliques, family_forest_edges runs its dense pairwise
+//   Kruskal straight on the slot words; larger (hub) regions relabel their
+//   vertices monotonically to 0..k-1, which keeps word order, and run the
+//   sparse separator-candidate max_weight_spanning_forest in
+//   O(sum_{c in R} |C|). Either way the result is bit-identical (as a set
 //   of word pairs) to a from-scratch build - which is precisely what the
 //   audit matrix checks after every fuzzed update.
 #pragma once
@@ -73,9 +62,9 @@ namespace chordal {
 struct ForestRepairStats {
   int cliques_removed = 0;
   int cliques_added = 0;
-  int pool_edges = 0;  // candidate W-edges considered by the repair
-  int path_steps = 0;  // forest-BFS nodes popped while locating swap paths
-  int edge_swaps = 0;  // surviving forest edges evicted by better candidates
+  // Candidate W-edges of the region Kruskal: the positive-weight pairs on
+  // the dense path, the separator candidates on the sparse one.
+  int pool_edges = 0;
 };
 
 class DynamicCliqueForest {
@@ -140,28 +129,17 @@ class DynamicCliqueForest {
   std::size_t memory_bytes() const;
 
  private:
+  /// Regions of at most this many cliques take the dense pairwise Kruskal
+  /// (family_forest_edges); larger ones the sparse separator engine.
+  static constexpr int kDenseRegion = 48;
+
+  // Both record the word in U and count it in pending_.
   int new_clique(std::vector<VertexId> word);
   void kill_clique(int c);
   void add_forest_edge(int a, int b, int weight);
-  void remove_forest_edge(int a, int b);
-  bool has_forest_edge(int a, int b) const;
-  int intersection_weight(int a, int b) const;
-  /// Paper order on W-edges, by slot pair: weight, then lex word pair.
-  bool edge_order_less(int a1, int b1, int w1, int a2, int b2, int w2) const;
-  /// Online-MST insertion of candidate (a, b): restricted path search, then
-  /// unrestricted bidirectional fallback; joins trees or applies the swap
-  /// rule. Returns true when the endpoints were already connected.
-  bool insert_candidate(int a, int b, ForestRepairStats& stats);
-  /// One worst-edge-on-path BFS from added clique `c` (restricted to
-  /// cliques meeting word(c)); returns the stamp epoch of the flood so row
-  /// folds can answer path queries in O(1) until the forest changes.
-  std::uint64_t flood_worst_paths(int c, ForestRepairStats& stats);
-  void repair(ForestRepairStats& stats);
-  void begin_batch();
-  void ensure_clique_scratch();
-  int find_label(int id);
-  int fresh_label(int cluster, bool safe);
-  void union_labels(int ra, int rb);
+  /// Region rebuild over U (see the header comment); returns and resets
+  /// the pending stats.
+  ForestRepairStats repair();
 
   std::vector<std::vector<VertexId>> words_;  // sorted; empty when dead
   std::vector<char> cl_alive_;
@@ -170,57 +148,22 @@ class DynamicCliqueForest {
   std::vector<std::vector<ForestNeighbor>> forest_;
   int alive_cliques_ = 0;
 
-  // Repair scratch (epoch-stamped over clique slots; no per-update clears).
-  std::uint64_t cepoch_ = 0;
-  std::vector<std::uint64_t> cstamp_;
-  std::vector<std::int32_t> cparent_;
-  std::vector<std::int32_t> cparent_w_;
-  std::vector<std::int32_t> cqueue_;
-  // Bidirectional fallback: the b-rooted side of the search.
-  std::vector<std::int32_t> bparent_;
-  std::vector<std::int32_t> bparent_w_;
-  std::vector<std::int32_t> bqueue_;
-  std::vector<VertexId> ivec_;  // word(a) cut word(b) scratch
-  std::vector<std::pair<std::int32_t, std::int32_t>> pool_;
-  std::vector<std::vector<VertexId>> removed_words_;
-  std::vector<std::int32_t> added_slots_;
+  // The pending update: U (with repeats until repair) and its counts.
+  std::vector<VertexId> touched_;
+  ForestRepairStats pending_;
 
-  // Batch capture: killed slots, their forest neighbors at kill time, and a
-  // per-batch membership stamp (slot ids can be reused by new_clique within
-  // the same batch; the stamp still identifies "was killed this batch").
-  std::vector<std::int32_t> kill_log_;
-  std::vector<std::vector<std::int32_t>> kill_nbrs_;
-  std::uint64_t kepoch_ = 0;
-  std::vector<std::uint64_t> kstamp_;
-  std::vector<std::int32_t> kidx_;  // slot -> kill_log_ index (under kstamp_)
-  std::vector<std::int32_t> kdsu_;  // clusters of the killed set
-
-  // Fragment labels for the removal-phase Kruskal (epoch-stamped per
-  // repair). label_[slot] indexes ldsu_; lcluster_ is the originating dead
-  // cluster (-1 isolated new clique, -2 mixed/untrusted), lsafe_ whether
-  // distinct roots provably mean distinct fragments.
-  std::uint64_t lepoch_ = 0;
-  std::vector<std::uint64_t> lstamp_;
-  std::vector<std::int32_t> label_;
-  std::vector<std::int32_t> ldsu_;
-  std::vector<std::int32_t> lcluster_;
-  std::vector<char> lsafe_;
-
-  // Vertex marks: the union of killed words (the candidate region).
-  std::uint64_t vepoch_ = 0;
-  std::vector<std::uint64_t> vstamp_;
-  std::vector<VertexId> vmarks_;
-
-  struct Cand {
-    std::int32_t w, a, b;
-  };
-  std::vector<Cand> cand_;
-  std::vector<std::int32_t> roots_;  // per-phi cached DSU roots
-  std::vector<std::int32_t> rows_;   // per-added-clique row targets
-  // Worst-edge-on-path DP written by flood_worst_paths (cepoch_-stamped).
-  std::vector<std::int32_t> pw_a_;
-  std::vector<std::int32_t> pw_b_;
-  std::vector<std::int32_t> pw_w_;
+  // Repair scratch, reused across updates.
+  std::uint64_t repoch_ = 0;
+  std::vector<std::uint64_t> rstamp_;  // per clique slot: in R this epoch
+  std::vector<std::int32_t> region_;   // R, in word order
+  CliqueFamily region_family_;         // the words of R, in that order
+  std::vector<CliqueId> region_ids_;   // dense path: 0..|R|-1
+  std::vector<VertexId> region_vertices_;  // sparse path: sorted, distinct
+  std::vector<VertexId> relabel_;  // per vertex slot: its region_vertices_
+                                   // index (valid for R's vertices only)
+  ForestScratch engine_;
+  std::vector<std::pair<int, int>> dense_out_;
+  std::vector<WcigEdge> sparse_out_;
 };
 
 }  // namespace chordal

@@ -303,10 +303,10 @@ void family_forest_edges(const CliqueFamily& cliques,
                          std::vector<std::pair<int, int>>& out) {
   const int f = static_cast<int>(family.size());
   if (f < 2) return;
-  // Pairwise intersection weights of the (complete) family graph, as pair
-  // multiplicities over the members' vertices: walking each vertex's
-  // occurrence chain costs one increment per shared (clique, clique, vertex)
-  // triple - no sorted merges, no O(n) membership table.
+  // Pairwise intersection weights of the family (zero for disjoint pairs),
+  // as pair multiplicities over the members' vertices: walking each
+  // vertex's occurrence chain costs one increment per shared (clique,
+  // clique, vertex) triple - no sorted merges, no O(n) membership table.
   int bound = 0;
   for (CliqueId c : family) {
     bound = std::max(

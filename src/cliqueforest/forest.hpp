@@ -120,15 +120,20 @@ std::vector<WcigEdge> max_weight_spanning_forest_oracle(
 std::vector<WcigEdge> max_weight_spanning_forest_oracle(
     const CliqueFamily& cliques, int num_graph_vertices);
 
-/// Per-family MWSF for local views (Lemma 2): selects the spanning forest
-/// of W restricted to the family {cliques[c] : c in family} and appends the
-/// chosen edges to `out` as (min, max) pairs of clique indices. Requires
-/// `cliques` strictly lexicographically sorted (so rank == index and the
-/// paper's word tie-breaks are integer comparisons), `family` ascending,
-/// and every pair of family cliques intersecting (they share the defining
-/// vertex u, making W[phi(u)] complete) - exactly the shape
-/// compute_local_view produces. Touches only family-sized scratch: no O(n)
-/// membership array, no allocations once the scratch is warm.
+/// Dense per-family MWSF (Lemma 2 for local views, and the dynamic
+/// forest's small repair regions): selects the maximum weight spanning
+/// forest of W restricted to the family {cliques[c] : c in family} and
+/// appends the chosen edges to `out` as (min, max) pairs of clique indices,
+/// in Kruskal order. Requires `cliques` strictly lexicographically sorted
+/// (so rank == index and the paper's word tie-breaks are integer
+/// comparisons) and `family` ascending. W need not be complete: pairs that
+/// share no vertex are no W-edge and never enter the Kruskal, so a family
+/// spanning several components yields one tree per component. Costs
+/// O(|family|^2) plus one increment per shared (clique, clique, vertex)
+/// triple and touches only family-sized scratch: no O(n) membership array,
+/// no allocations once the scratch is warm. On return scratch.pair_a holds
+/// one entry per positive-weight pair (the Kruskal candidates) when the
+/// family has at least two cliques.
 void family_forest_edges(const CliqueFamily& cliques,
                          std::span<const CliqueId> family,
                          ForestScratch& scratch,

@@ -113,8 +113,6 @@ void DynamicChordal::absorb(const ForestRepairStats& fs,
   stats_.cliques_removed += fs.cliques_removed;
   stats_.cliques_added += fs.cliques_added;
   stats_.pool_edges += fs.pool_edges;
-  stats_.path_steps += fs.path_steps;
-  stats_.edge_swaps += fs.edge_swaps;
   stats_.labels_processed += ls.processed;
   stats_.color_changes += ls.color_changes;
   stats_.mis_flips += ls.mis_flips;

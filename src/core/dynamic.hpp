@@ -6,9 +6,10 @@
 // Every mutation is certified first - a chordality-breaking update throws
 // ChordalityViolation carrying a witness chordless cycle and leaves all
 // state untouched - and then *repaired* through, never rebuilt: the family
-// delta, the local MWSF patch, and the worklist recoloring each touch work
-// proportional to the affected region, which is what bench_dynamic (E17)
-// measures against the full-rebuild baseline.
+// delta, the region rebuild of the forest (the batch MWSF re-run on the
+// cliques meeting the touched vertices), and the worklist recoloring each
+// touch work proportional to the affected region, which is what
+// bench_dynamic (E17) measures against the full-rebuild baseline.
 //
 // Edge-insert certification takes a clique-forest fast path before falling
 // back to the BFS oracle: G+uv is chordal iff S = N(u) cut N(v) separates u
@@ -42,9 +43,11 @@ struct DynamicStats {
   std::int64_t oracle_calls = 0;     // BFS-oracle certifications
   std::int64_t cliques_removed = 0;
   std::int64_t cliques_added = 0;
+  // Candidate W-edges of the forest repair's region Kruskal (see
+  // ForestRepairStats::pool_edges).
   std::int64_t pool_edges = 0;
+  // Forest-BFS nodes popped by the edge-insert certificate's path search.
   std::int64_t path_steps = 0;
-  std::int64_t edge_swaps = 0;
   std::int64_t labels_processed = 0;
   std::int64_t color_changes = 0;
   std::int64_t mis_flips = 0;

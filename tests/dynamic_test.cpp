@@ -11,6 +11,7 @@
 #include <functional>
 #include <vector>
 
+#include "audit/auditors.hpp"
 #include "core/dynamic.hpp"
 #include "graph/dynamic_graph.hpp"
 #include "graph/generators.hpp"
@@ -268,6 +269,60 @@ TEST(DynamicGraphTest, MixedScheduleKeepsParityAcrossIdWidths) {
 
   // The materialized snapshot is chordal throughout.
   EXPECT_TRUE(is_chordal(dc.materialize()));
+}
+
+/// Deletes and re-inserts a deletable edge at `hub` (its first neighbor
+/// whose edge lies in exactly one maximal clique K). The forest repair
+/// rebuilds only the cliques meeting K's vertices, so each update's
+/// candidate count must stay within 2 * sum_{v in K} |phi(v)| - a count,
+/// not a timing, so a return of a pool quadratic in the hub's phi fails
+/// here on any machine. Parity is audited after both updates.
+void expect_hub_edge_churn_is_linear(DynamicChordal& dc, int hub) {
+  const DynamicCliqueForest& forest = dc.forest();
+  int other = -1;
+  std::int64_t bound = 0;
+  for (VertexId w : dc.graph().neighbors(hub)) {
+    std::int32_t holders[2];
+    if (forest.cliques_containing_edge(hub, static_cast<int>(w), holders) !=
+        1) {
+      continue;
+    }
+    other = static_cast<int>(w);
+    for (VertexId x : forest.word(holders[0])) {
+      bound += 2 * static_cast<std::int64_t>(
+                       forest.cliques_of(static_cast<int>(x)).size());
+    }
+    break;
+  }
+  ASSERT_GE(other, 0) << "no deletable edge at the hub";
+  std::int64_t before = dc.stats().pool_edges;
+  dc.delete_edge(hub, other);
+  EXPECT_LE(dc.stats().pool_edges - before, bound) << "edge delete";
+  EXPECT_NO_THROW(audit::audit_dynamic_parity(dc));
+  before = dc.stats().pool_edges;
+  dc.insert_edge(hub, other);
+  EXPECT_LE(dc.stats().pool_edges - before, bound) << "edge insert";
+  EXPECT_NO_THROW(audit::audit_dynamic_parity(dc));
+}
+
+TEST(DynamicGraphTest, HubEdgeChurnRepairIsLinearOnKTree) {
+  DynamicChordal dc(streaming_k_tree(20000, 3, 17));
+  int hub = 0;
+  for (int v = 1; v < dc.graph().num_slots(); ++v) {
+    if (dc.forest().cliques_of(v).size() >
+        dc.forest().cliques_of(hub).size()) {
+      hub = v;
+    }
+  }
+  expect_hub_edge_churn_is_linear(dc, hub);
+}
+
+TEST(DynamicGraphTest, BladeEdgeChurnRepairIsLinearOnWindmill) {
+  // Core vertex 0 lies in all 2,000 triangles, so deleting and restoring
+  // the blade edge {1, 2} repairs a 2,001-clique region: the sparse
+  // forest engine's path, deterministically.
+  DynamicChordal dc(windmill_graph(1, 2000, 2));
+  expect_hub_edge_churn_is_linear(dc, 1);
 }
 
 }  // namespace

@@ -13,11 +13,13 @@
 
 #include <algorithm>
 #include <array>
+#include <numeric>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "audit/fuzzers.hpp"
 #include "cliqueforest/forest.hpp"
 #include "cliqueforest/local_view.hpp"
 #include "core/mis.hpp"
@@ -312,6 +314,42 @@ TEST(ForestEngine, FamilyEngineMatchesPerFamilyReference) {
       family_forest_edges(forest.cliques(), family, scratch, fast);
       EXPECT_EQ(reference, fast) << name << " vertex " << v;
     }
+  }
+}
+
+TEST(ForestEngine, FamilyEngineMatchesReferenceOnWholeFamilies) {
+  // The dynamic forest's region rebuild hands family_forest_edges families
+  // whose W is not complete: distant interval cliques, and separate
+  // components. Zero-weight pairs must simply stay out of the Kruskal.
+  std::vector<std::pair<std::string, Graph>> cases;
+  for (std::uint64_t seed : {2, 5, 23}) {
+    RandomChordalConfig config;
+    config.n = 150;
+    config.max_clique = 5;
+    config.chain_bias = 0.6;
+    config.seed = seed;
+    cases.emplace_back("random_chordal_" + std::to_string(seed),
+                       random_chordal(config));
+    cases.emplace_back("unit_interval_" + std::to_string(seed),
+                       random_unit_interval(160, 50.0, seed).graph);
+    cases.emplace_back("union_" + std::to_string(seed),
+                       audit::disconnected_union(seed));
+  }
+  ForestScratch scratch;
+  std::vector<CliqueId> ids;
+  std::vector<std::pair<int, int>> fast;
+  for (const auto& [name, g] : cases) {
+    CliqueFamily family = maximal_cliques_chordal_family(g);
+    std::vector<std::pair<int, int>> reference;
+    for (const auto& e :
+         max_weight_spanning_forest_oracle(family, g.num_vertices())) {
+      reference.emplace_back(e.a, e.b);
+    }
+    ids.resize(family.size());
+    std::iota(ids.begin(), ids.end(), CliqueId{0});
+    fast.clear();
+    family_forest_edges(family, ids, scratch, fast);
+    EXPECT_EQ(reference, fast) << name;
   }
 }
 
