@@ -26,11 +26,13 @@ int main(int argc, char** argv) {
     auto dist = core::mvc_chordal(gen.graph,
                                   {.eps = 0.5,
                                    .layer_coloring =
-                                       core::LayerColoringMode::kColIntGraph});
+                                       core::LayerColoringMode::kColIntGraph,
+                                   .net = ctx.net()});
     auto opt = core::mvc_chordal(gen.graph,
                                  {.eps = 0.5,
                                   .layer_coloring =
-                                      core::LayerColoringMode::kOptimal});
+                                      core::LayerColoringMode::kOptimal,
+                                  .net = ctx.net()});
     mode_table.add_row({Table::fmt(gen.graph.num_vertices()),
                         Table::fmt(dist.omega), Table::fmt(dist.num_colors),
                         Table::fmt(opt.num_colors), Table::fmt(dist.rounds),
@@ -49,7 +51,7 @@ int main(int argc, char** argv) {
     config.chain_bias = bias;
     config.seed = 31;
     Graph g = random_chordal(config);
-    auto result = core::mvc_chordal(g, {.eps = 0.5});
+    auto result = core::mvc_chordal(g, {.eps = 0.5, .net = ctx.net()});
     bias_table.add_row({Table::fmt(bias, 2), Table::fmt(result.num_layers),
                         Table::fmt(result.rounds),
                         Table::fmt(result.num_colors),
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
                     "colors"});
   auto gen = bench::chordal_workload(4000, TreeShape::kCaterpillar, 41);
   for (double eps : {1.0, 0.5, 0.25, 0.125}) {
-    auto result = core::mvc_chordal(gen.graph, {.eps = eps});
+    auto result = core::mvc_chordal(gen.graph, {.eps = eps, .net = ctx.net()});
     corr_table.add_row({Table::fmt(eps, 3), Table::fmt(result.k),
                         Table::fmt(result.recolored_vertices),
                         Table::fmt(result.correction_rounds),
@@ -82,7 +84,8 @@ int main(int argc, char** argv) {
       StatAccumulator acc;
       for (int v = 0; v < gen2.graph.num_vertices();
            v += std::max(1, gen2.graph.num_vertices() / 200)) {
-        auto ball = local::collect_ball(gen2.graph, v, radius);
+        auto ball = local::collect_ball(gen2.graph, v, radius, nullptr,
+                                         nullptr, ctx.net());
         acc.add(static_cast<double>(ball.vertices.size()));
       }
       ball_table.add_row(

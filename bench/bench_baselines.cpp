@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
     obs::Span run("coloring n=" + std::to_string(n));
     auto gen = bench::chordal_workload(n, TreeShape::kRandom, 23);
     const Graph& g = gen.graph;
-    auto ours_05 = core::mvc_chordal(g, {.eps = 0.5});
-    auto ours_025 = core::mvc_chordal(g, {.eps = 0.25});
-    auto greedy = baselines::dplus1_coloring(g, 9);
+    auto ours_05 = core::mvc_chordal(g, {.eps = 0.5, .net = ctx.net()});
+    auto ours_025 = core::mvc_chordal(g, {.eps = 0.25, .net = ctx.net()});
+    auto greedy = baselines::dplus1_coloring(g, 9, ctx.net());
     coloring.add_row(
         {Table::fmt(g.num_vertices()), Table::fmt(g.max_degree()),
          Table::fmt(ours_05.omega), Table::fmt(ours_05.num_colors),
@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
     obs::Span run("mis n=" + std::to_string(n));
     auto gen = bench::chordal_workload(n, TreeShape::kRandom, 29);
     const Graph& g = gen.graph;
-    auto ours = core::mis_chordal(g, {.eps = 0.2});
-    auto luby = local::luby_mis(g, 5);
+    auto ours = core::mis_chordal(g, {.eps = 0.2, .net = ctx.net()});
+    auto luby = local::luby_mis(g, 5, ctx.net());
     mis.add_row({Table::fmt(g.num_vertices()),
                  Table::fmt(baselines::independence_number_chordal(g)),
                  Table::fmt((long long)ours.chosen.size()),

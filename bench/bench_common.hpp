@@ -24,8 +24,16 @@
 // peel/color/MIS decisions, forest builds. Tracing also
 // installs the registry (spans need it to record), so --trace alone still
 // produces phase tracks. scripts/trace_check.py validates the output.
+//
+//   --model local|congest  network model (default local)
+//   --congest-b <words>    fixed CONGEST capacity B >= 0 (0 = auto,
+//                          ceil(log2 n)); only valid with --model congest
+//
+// select Context::net(), which a bench passes explicitly to every driver,
+// baseline and ball collection it runs; nothing else reads them.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,6 +67,8 @@ class Context {
  public:
   Context(int argc, char** argv, const char* experiment, const char* claim)
       : experiment_(experiment), claim_(claim) {
+    std::string model;
+    std::optional<std::string> congest_b;
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg == "--json" && i + 1 < argc) {
@@ -74,13 +84,13 @@ class Context {
       } else if (arg.rfind("--trace-jsonl=", 0) == 0) {
         trace_jsonl_path_ = arg.substr(14);
       } else if (arg == "--model" && i + 1 < argc) {
-        model_ = argv[++i];
+        model = argv[++i];
       } else if (arg.rfind("--model=", 0) == 0) {
-        model_ = arg.substr(8);
+        model = arg.substr(8);
       } else if (arg == "--congest-b" && i + 1 < argc) {
-        congest_b_ = std::atoll(argv[++i]);
+        congest_b = argv[++i];
       } else if (arg.rfind("--congest-b=", 0) == 0) {
-        congest_b_ = std::atoll(arg.c_str() + 12);
+        congest_b = arg.substr(12);
       } else if (arg == "--json" || arg == "--trace" ||
                  arg == "--trace-jsonl" || arg == "--model" ||
                  arg == "--congest-b") {
@@ -94,18 +104,15 @@ class Context {
         std::exit(2);
       }
     }
-    // --model installs the process-wide bandwidth knob before any driver or
-    // Network is constructed, so every table in the run executes under the
-    // requested model. --congest-b fixes B in words (default: auto,
-    // B = ceil(log2 n)).
-    if (model_ == "congest") {
-      local::set_network_model(1);
-      local::set_congest_capacity(congest_b_);
-    } else if (model_ == "local") {
-      local::set_network_model(0);
-    } else if (!model_.empty()) {
+    if (model == "congest") {
+      net_ = local::congest(congest_b ? parse_words(*congest_b) : 0);
+    } else if (!model.empty() && model != "local") {
       std::fprintf(stderr, "unknown --model %s (local|congest)\n%s",
-                   model_.c_str(), kUsage);
+                   model.c_str(), kUsage);
+      std::exit(2);
+    } else if (congest_b) {
+      std::fprintf(stderr, "--congest-b requires --model congest\n%s",
+                   kUsage);
       std::exit(2);
     }
     // Spans only record under a live registry, so tracing implies one: a
@@ -166,8 +173,8 @@ class Context {
   Context& operator=(const Context&) = delete;
 
   bool json_enabled() const { return !json_path_.empty(); }
-  bool congest_enabled() const { return model_ == "congest"; }
-  std::int64_t congest_b() const { return congest_b_; }
+  /// The network model selected by --model / --congest-b (default LOCAL).
+  const local::BandwidthConfig& net() const { return net_; }
   bool trace_enabled() const {
     return !trace_path_.empty() || !trace_jsonl_path_.empty();
   }
@@ -182,6 +189,20 @@ class Context {
   static constexpr const char* kUsage =
       "usage: <bench> [--json <path>] [--trace <path>] "
       "[--trace-jsonl <path>] [--model local|congest] [--congest-b <words>]\n";
+
+  /// --congest-b value: a non-negative decimal word count, else exit 2.
+  static std::int64_t parse_words(const std::string& text) {
+    std::int64_t words = -1;
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, words);
+    if (ec != std::errc{} || ptr != end || words < 0) {
+      std::fprintf(stderr,
+                   "--congest-b must be a non-negative integer, got '%s'\n%s",
+                   text.c_str(), kUsage);
+      std::exit(2);
+    }
+    return words;
+  }
 
   static void write_file(const std::string& path, const std::string& body,
                          const char* what) {
@@ -202,8 +223,7 @@ class Context {
   std::string json_path_;
   std::string trace_path_;
   std::string trace_jsonl_path_;
-  std::string model_;
-  std::int64_t congest_b_ = 0;
+  local::BandwidthConfig net_;
   std::vector<std::pair<std::string, Table>> tables_;
   obs::Registry registry_;
   std::optional<obs::ScopedRegistry> scope_;

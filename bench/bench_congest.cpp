@@ -60,10 +60,8 @@ int main(int argc, char** argv) {
                      "Bounded bandwidth (B words/edge/round) preserves every "
                      "output bit and pays only a fragmentation-factor round "
                      "blow-up");
-  // This binary sweeps both models itself; the --model knob (meant for the
-  // E1-E17 tables) is ignored so the LOCAL baselines stay honest.
-  local::set_network_model(-1);
-  local::set_congest_capacity(-1);
+  // This binary sweeps both models itself, passing each cell its own
+  // BandwidthConfig; --model (meant for the E1-E17 tables) does not apply.
 
   const std::int64_t kCapacities[] = {4, 16, 0};  // 0 = auto ceil(log2 n)
 
@@ -79,14 +77,10 @@ int main(int argc, char** argv) {
     auto gen = bench::chordal_workload(n, TreeShape::kBinary, 7);
     const Graph& g = gen.graph;
     obs::Span run("flood n=" + std::to_string(g.num_vertices()));
-    local::BandwidthConfig lcl;
-    auto base = local::flood_balls(g, 2, lcl);
+    auto base = local::flood_balls(g, 2, local::BandwidthConfig{});
     bool model_ok = base.modeled_words == base.stats.total_payload_words;
     for (std::int64_t b : kCapacities) {
-      local::BandwidthConfig bw;
-      bw.model = local::NetworkModel::kCongest;
-      bw.capacity_words = b;
-      auto frag = local::flood_balls(g, 2, bw);
+      auto frag = local::flood_balls(g, 2, local::congest(b));
       bool parity = model_ok && frag.known == base.known &&
                     frag.stats.total_payload_words ==
                         base.stats.total_payload_words;
@@ -117,12 +111,10 @@ int main(int argc, char** argv) {
     auto gen = bench::chordal_workload(n, TreeShape::kBinary, 7);
     const Graph& g = gen.graph;
     obs::Span run("mvc n=" + std::to_string(g.num_vertices()));
-    local::set_network_model(0);
     auto base = core::mvc_chordal(g, {.eps = 0.5});
-    local::set_network_model(1);
     for (std::int64_t b : kCapacities) {
-      local::set_congest_capacity(b);
-      auto frag = core::mvc_chordal(g, {.eps = 0.5});
+      auto frag =
+          core::mvc_chordal(g, {.eps = 0.5, .net = local::congest(b)});
       bool parity = frag.colors == base.colors &&
                     frag.num_colors == base.num_colors &&
                     frag.num_layers == base.num_layers &&
@@ -136,8 +128,6 @@ int main(int argc, char** argv) {
                       b_label(b),
                   base.rounds, frag.rounds, parity);
     }
-    local::set_network_model(-1);
-    local::set_congest_capacity(-1);
   }
   mvc_table.print();
   ctx.add_table("mvc_blowup", mvc_table);
@@ -149,12 +139,10 @@ int main(int argc, char** argv) {
     auto gen = bench::chordal_workload(n, TreeShape::kBinary, 7);
     const Graph& g = gen.graph;
     obs::Span run("mis n=" + std::to_string(g.num_vertices()));
-    local::set_network_model(0);
     auto base = core::mis_chordal(g, {.eps = 0.25});
-    local::set_network_model(1);
     for (std::int64_t b : kCapacities) {
-      local::set_congest_capacity(b);
-      auto frag = core::mis_chordal(g, {.eps = 0.25});
+      auto frag =
+          core::mis_chordal(g, {.eps = 0.25, .net = local::congest(b)});
       bool parity = frag.chosen == base.chosen && frag.rounds >= base.rounds;
       double blowup = static_cast<double>(frag.rounds) /
                       static_cast<double>(std::max<std::int64_t>(base.rounds, 1));
@@ -166,8 +154,6 @@ int main(int argc, char** argv) {
                       b_label(b),
                   base.rounds, frag.rounds, parity);
     }
-    local::set_network_model(-1);
-    local::set_congest_capacity(-1);
   }
   mis_table.print();
   ctx.add_table("mis_blowup", mis_table);

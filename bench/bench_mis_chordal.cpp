@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
                        " n=" + std::to_string(n) +
                        " eps=" + std::to_string(eps));
         auto gen = bench::chordal_workload(n, shape, 3 + n);
-        auto ours = core::mis_chordal(gen.graph, {.eps = eps});
+        auto ours =
+            core::mis_chordal(gen.graph, {.eps = eps, .net = ctx.net()});
         int opt = baselines::independence_number_chordal(gen.graph);
         table.add_row({shape_name, Table::fmt(gen.graph.num_vertices()),
                        Table::fmt(eps, 2), Table::fmt(ours.d),
@@ -47,7 +48,8 @@ int main(int argc, char** argv) {
   auto gen = bench::chordal_workload(8192, TreeShape::kRandom, 5);
   int opt = baselines::independence_number_chordal(gen.graph);
   for (int d : {0, 64, 16, 8, 4}) {  // 0 = paper default
-    auto ours = core::mis_chordal(gen.graph, {.eps = 0.2, .d_override = d});
+    auto ours = core::mis_chordal(
+        gen.graph, {.eps = 0.2, .d_override = d, .net = ctx.net()});
     ablation.add_row({d == 0 ? "64/eps (paper)" : Table::fmt(d),
                       Table::fmt(ours.iterations),
                       Table::fmt((long long)ours.chosen.size()),

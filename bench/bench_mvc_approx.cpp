@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
         obs::Span run(std::string("run ") + shape_name +
                       " n=" + std::to_string(n));
         auto gen = bench::chordal_workload(n, shape, 42 + n);
-        auto result = core::mvc_chordal(gen.graph, {.eps = eps});
+        auto result =
+            core::mvc_chordal(gen.graph, {.eps = eps, .net = ctx.net()});
         int chi = result.omega;
         int bound = chi + chi / result.k + 1;
         bool ok = result.num_colors <= bound &&

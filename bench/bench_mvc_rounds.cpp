@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   for (int n : {256, 1024, 4096, 16384, 65536}) {
     obs::Span run("run n=" + std::to_string(n) + " eps=0.5");
     auto gen = bench::chordal_workload(n, TreeShape::kBinary, 7);
-    auto result = core::mvc_chordal(gen.graph, {.eps = 0.5});
+    auto result = core::mvc_chordal(gen.graph, {.eps = 0.5, .net = ctx.net()});
     double log_n = std::log2(static_cast<double>(gen.graph.num_vertices()));
     by_n.add_row({Table::fmt(gen.graph.num_vertices()), Table::fmt(0.5, 2),
                   Table::fmt(result.k), Table::fmt(result.num_layers),
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   for (double eps : {2.0, 1.0, 0.5, 0.25, 0.125, 0.0625}) {
     obs::Span run("run n=4096 eps=" + std::to_string(eps));
     auto gen = bench::chordal_workload(4096, TreeShape::kBinary, 7);
-    auto result = core::mvc_chordal(gen.graph, {.eps = eps});
+    auto result = core::mvc_chordal(gen.graph, {.eps = eps, .net = ctx.net()});
     by_eps.add_row({Table::fmt(gen.graph.num_vertices()),
                     Table::fmt(eps, 4), Table::fmt(result.k),
                     Table::fmt(result.rounds),

@@ -12,9 +12,10 @@
 # Suffixed files are throwaway A/B evidence: bench_gate.py skips them, and
 # none are committed.
 #
-# Environment variables (CHORDAL_THREADS, CHORDAL_NET_MODEL,
-# CHORDAL_CONGEST_B) pass through to the benches. BUILD_DIR overrides the
-# build tree (default: build-release, configured and built on demand) and
+# CHORDAL_THREADS passes through to the benches; it is the only environment
+# variable the library reads (a bench takes its network model from
+# --model). BUILD_DIR overrides the build tree (default: build-release,
+# configured and built on demand) and
 # OUT_DIR the output directory (default: the repo root — set it to a
 # scratch directory for throwaway runs, e.g. the bench-gate step of
 # scripts/check.sh, which compares a fresh OUT_DIR run against the

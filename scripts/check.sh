@@ -4,8 +4,9 @@
 # (which exercises the parallel_for drivers at several worker counts),
 # then a pipeline digest smoke run (every pipebench workload, in both trace
 # modes, must reproduce its pinned per-stage output digests), a
-# CONGEST-parity smoke run (the same bench under --model congest must
-# match its LOCAL run outside round counts and net.* telemetry),
+# CONGEST-parity smoke run (three driver benches under --model congest must
+# match their LOCAL runs outside round counts and net.* telemetry, and
+# must differ from them before that scrub),
 # a trace smoke run (--trace output must validate: well-formed Chrome
 # JSON, monotone ticks, resolvable message lineage, counts matching the
 # telemetry report), and the bench-regression gate (a fresh bench_all.sh
@@ -65,17 +66,27 @@ smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
 echo
-echo "== CONGEST parity smoke (LOCAL vs --model congest driver run) =="
-# The same driver bench under bounded bandwidth: once round counts and
-# net.* round-resolution telemetry are scrubbed, the JSON must be
-# identical — fragmentation may change when words move, never what the
-# algorithms output.
-"$repo/build-release/bench/bench_mvc_approx" \
-  --json "$smoke_dir/model_local.json" >/dev/null
-"$repo/build-release/bench/bench_mvc_approx" --model congest \
-  --json "$smoke_dir/model_congest.json" >/dev/null
-python3 "$repo/scripts/bench_diff.py" --parity --scrub-rounds \
-  "$smoke_dir/model_local.json" "$smoke_dir/model_congest.json"
+echo "== CONGEST parity smoke (LOCAL vs --model congest driver runs) =="
+# Each driver bench under bounded bandwidth: once round counts and net.*
+# round-resolution telemetry are scrubbed, the JSON must be identical —
+# fragmentation may change when words move, never what the algorithms
+# output. Before the scrub the two runs must differ: equal reports would
+# mean --model never reached the drivers the bench runs.
+for bench in bench_mvc_approx bench_mis_chordal bench_baselines; do
+  local_json="$smoke_dir/$bench.local.json"
+  congest_json="$smoke_dir/$bench.congest.json"
+  "$repo/build-release/bench/$bench" --json "$local_json" >/dev/null
+  "$repo/build-release/bench/$bench" --model congest \
+    --json "$congest_json" >/dev/null
+  python3 "$repo/scripts/bench_diff.py" --parity --scrub-rounds \
+    "$local_json" "$congest_json"
+  if python3 "$repo/scripts/bench_diff.py" --parity \
+    "$local_json" "$congest_json" >/dev/null 2>&1; then
+    echo "$bench: --model congest report equals the LOCAL one before" \
+      "scrubbing rounds; the model did not reach the drivers" >&2
+    exit 1
+  fi
+done
 
 echo
 echo "== Trace smoke (--trace output validates against telemetry) =="

@@ -415,14 +415,10 @@ std::string telemetry_signature(const obs::Registry& reg) {
   return out.str();
 }
 
-/// Restores the global execution knobs on scope exit (environment-default
-/// semantics, mirroring how the parity tests and benches toggle them).
+/// Restores the pool's thread count on scope exit (environment-default
+/// semantics, mirroring how the parity tests and benches toggle it).
 struct KnobGuard {
-  ~KnobGuard() {
-    support::set_num_threads(0);
-    local::set_network_model(-1);
-    local::set_congest_capacity(-1);
-  }
+  ~KnobGuard() { support::set_num_threads(0); }
 };
 
 }  // namespace
@@ -431,8 +427,9 @@ DriverAuditResult run_driver_audit(const Graph& g,
                                    const DriverAuditConfig& config) {
   KnobGuard restore;
   support::set_num_threads(config.threads);
-  local::set_network_model(config.congest ? 1 : 0);
-  local::set_congest_capacity(config.congest ? config.congest_b : -1);
+  const local::BandwidthConfig net =
+      config.congest ? local::congest(config.congest_b)
+                     : local::BandwidthConfig{};
 
   audit_graph_csr(g);
 
@@ -441,7 +438,8 @@ DriverAuditResult run_driver_audit(const Graph& g,
   {
     obs::ScopedRegistry scope(reg);
 
-    core::MvcResult mvc = core::mvc_chordal(g, {.eps = config.eps_color});
+    core::MvcResult mvc =
+        core::mvc_chordal(g, {.eps = config.eps_color, .net = net});
     audit_coloring(g, mvc);
 
     if (config.check_per_node_pruning) {
@@ -449,7 +447,8 @@ DriverAuditResult run_driver_audit(const Graph& g,
       // ball must reproduce the global peeling, hence the exact coloring.
       core::MvcResult per_node = core::mvc_chordal(
           g, {.eps = config.eps_color,
-              .pruning = core::PruningMode::kPerNodeLocalViews});
+              .pruning = core::PruningMode::kPerNodeLocalViews,
+              .net = net});
       if (per_node.colors != mvc.colors ||
           per_node.num_layers != mvc.num_layers) {
         fail("Lemma 12: per-node local decisions == global peeling",
@@ -457,11 +456,12 @@ DriverAuditResult run_driver_audit(const Graph& g,
       }
     }
 
-    core::MisResult mis = core::mis_chordal(g, {.eps = config.eps_mis});
+    core::MisResult mis =
+        core::mis_chordal(g, {.eps = config.eps_mis, .net = net});
     audit_mis(g, mis, config.eps_mis);
 
     baselines::DPlusOneResult dp =
-        baselines::dplus1_coloring(g, config.dplus1_seed);
+        baselines::dplus1_coloring(g, config.dplus1_seed, net);
     check_as_audit("(Delta+1) greedy is proper",
                    [&] { core::require_proper_coloring(g, dp.colors); });
     if (dp.num_colors > g.max_degree() + 1) {
@@ -510,14 +510,10 @@ DriverAuditResult run_driver_audit(const Graph& g,
   // Network's exact NetworkStats accounting, the learned knowledge must be
   // bit-identical across models, and CONGEST may only add rounds.
   if (g.num_vertices() > 0) {
-    local::BandwidthConfig mine;
-    mine.model = config.congest ? local::NetworkModel::kCongest
-                                : local::NetworkModel::kLocal;
-    mine.capacity_words = config.congest_b;
-    local::BandwidthConfig other = mine;
-    other.model = config.congest ? local::NetworkModel::kLocal
-                                 : local::NetworkModel::kCongest;
-    local::FloodBallsResult flood = local::flood_balls(g, 2, mine);
+    const local::BandwidthConfig other =
+        config.congest ? local::BandwidthConfig{}
+                       : local::congest(config.congest_b);
+    local::FloodBallsResult flood = local::flood_balls(g, 2, net);
     if (flood.modeled_words != flood.stats.total_payload_words) {
       fail("modeled bandwidth words == NetworkStats payload words",
            std::to_string(flood.modeled_words) + " modeled != " +

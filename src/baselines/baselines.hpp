@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "local/bandwidth.hpp"
 
 namespace chordal::baselines {
 
@@ -30,8 +31,9 @@ struct DPlusOneResult {
   int rounds = 0;  // genuine message-passing rounds
 };
 
-/// Distributed (Delta+1) coloring with random priorities over the Network
-/// engine; terminates in O(log n) phases with high probability.
-DPlusOneResult dplus1_coloring(const Graph& g, std::uint64_t seed);
+/// Distributed (Delta+1) coloring with random priorities over a Network
+/// running under `bw`; terminates in O(log n) phases with high probability.
+DPlusOneResult dplus1_coloring(const Graph& g, std::uint64_t seed,
+                               const local::BandwidthConfig& bw = {});
 
 }  // namespace chordal::baselines

@@ -7,10 +7,11 @@
 
 namespace chordal::baselines {
 
-DPlusOneResult dplus1_coloring(const Graph& g, std::uint64_t seed) {
+DPlusOneResult dplus1_coloring(const Graph& g, std::uint64_t seed,
+                               const local::BandwidthConfig& bw) {
   const int n = g.num_vertices();
   obs::Span span("(Delta+1) greedy coloring");
-  local::Network net(g);
+  local::Network net(g, bw);
   Rng rng(seed);
   std::vector<int> colors(static_cast<std::size_t>(n), -1);
   std::vector<std::uint64_t> priority(static_cast<std::size_t>(n), 0);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "local/bandwidth.hpp"
 
 namespace chordal::core {
 
@@ -21,6 +22,9 @@ struct MisOptions {
   /// Override for the paper's d = ceil(64/eps) scale constant (0 = paper
   /// value). The worst-case constant is loose; benches ablate it (E5).
   int d_override = 0;
+  /// Network model the round clocks are charged under (default LOCAL).
+  /// The chosen set is identical across models; only rounds may grow.
+  local::BandwidthConfig net = {};
 };
 
 struct MisResult {
@@ -33,6 +37,8 @@ struct MisResult {
   int approx_components = 0;
 };
 
+/// eps in (0, 1/2), with d and the iteration count fitting in an int
+/// (std::invalid_argument otherwise).
 MisResult mis_chordal(const Graph& g, const MisOptions& options = {});
 
 }  // namespace chordal::core

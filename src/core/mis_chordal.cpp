@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -19,30 +20,38 @@ namespace chordal::core {
 using interval::PathIntervals;
 
 MisResult mis_chordal(const Graph& g, const MisOptions& options) {
-  if (options.eps <= 0 || options.eps >= 0.5) {
+  // The negated range test also rejects a NaN eps.
+  if (!(options.eps > 0 && options.eps < 0.5)) {
     throw std::invalid_argument("mis_chordal: eps must be in (0, 1/2)");
   }
+  // The scale parameters are pure functions of eps. They are checked in
+  // double before the cast (an out-of-range int conversion is undefined
+  // behaviour) and filled before the degenerate early return so the result
+  // contract holds for n = 0 too (fuzz-found: d/iterations stayed 0 on the
+  // empty graph).
+  const double d_real = options.d_override > 0
+                            ? options.d_override
+                            : std::ceil(64.0 / options.eps);
+  const double iterations_real = std::ceil(std::log2(d_real / options.eps)) + 2;
+  if (!(d_real <= std::numeric_limits<int>::max() &&
+        iterations_real <= std::numeric_limits<int>::max())) {
+    throw std::invalid_argument(
+        "mis_chordal: eps too small: d = ceil(64/eps) or the iteration count "
+        "does not fit in an int");
+  }
   MisResult result;
-  // The scale parameters are pure functions of eps; fill them before the
-  // degenerate early return so the result contract holds for n = 0 too
-  // (fuzz-found: d/iterations stayed 0 on the empty graph).
-  result.d = options.d_override > 0
-                 ? options.d_override
-                 : static_cast<int>(std::ceil(64.0 / options.eps));
-  result.iterations = static_cast<int>(std::ceil(std::log2(
-                          static_cast<double>(result.d) / options.eps))) +
-                      2;
+  result.d = static_cast<int>(d_real);
+  result.iterations = static_cast<int>(iterations_real);
   if (g.num_vertices() == 0) return result;
 
   obs::Span span("MIS Algorithm 6 (Theorems 7/8)");
   const bool telemetry = span.live();
-  // Bandwidth model for this run (see local/bandwidth.hpp). Always-on, like
-  // the MVC driver: under CONGEST the per-layer clocks pay ceil(words / B)
-  // transfer rounds for the multi-word component broadcasts; word charges
-  // are identical across models.
-  const local::BandwidthConfig bw = local::current_bandwidth();
-  auto xfer = [&bw, &g](std::int64_t words) {
-    return local::transfer_rounds(words, bw, g.num_vertices());
+  // Bandwidth model for this run: options.net. Always-on, like the MVC
+  // driver: under CONGEST the per-layer clocks pay ceil(words / B) transfer
+  // rounds for the multi-word component broadcasts; word charges are
+  // identical across models.
+  auto xfer = [&options, &g](std::int64_t words) {
+    return local::transfer_rounds(words, options.net, g.num_vertices());
   };
   std::vector<std::int64_t> congestion;
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "local/bandwidth.hpp"
 
 namespace chordal::core {
 
@@ -41,6 +42,9 @@ struct MvcOptions {
   double eps = 0.5;
   LayerColoringMode layer_coloring = LayerColoringMode::kColIntGraph;
   PruningMode pruning = PruningMode::kGlobal;
+  /// Network model the round clocks are charged under (default LOCAL).
+  /// Outputs are identical across models; only round counts may grow.
+  local::BandwidthConfig net = {};
 };
 
 struct MvcResult {
@@ -57,8 +61,9 @@ struct MvcResult {
   int recolored_vertices = 0;       // conflict-zone size across all layers
 };
 
-/// The distributed algorithm (Algorithm 2). eps > 0; the (1+eps)
-/// approximation guarantee requires eps >= 2 / chi(G) (Theorem 3).
+/// The distributed algorithm (Algorithm 2). eps > 0 and finite, with
+/// ceil(2 / eps) fitting in an int (std::invalid_argument otherwise); the
+/// (1+eps) approximation guarantee requires eps >= 2 / chi(G) (Theorem 3).
 MvcResult mvc_chordal(const Graph& g, const MvcOptions& options = {});
 
 /// Algorithm 1 with the centralized shortcut (optimal layer colorings);

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/mvc.hpp"
@@ -57,13 +58,6 @@ std::vector<int> interval_distances_from_set(
 struct Engine {
   const Graph& g;
   const MvcOptions& options;
-  // Bandwidth model for this run, fixed at construction. Under CONGEST the
-  // clocks additionally pay ceil(words / B) transfer rounds wherever the
-  // documented model ships a multi-word message; the *word* charges are
-  // identical across models. Always-on (not telemetry-gated): round counts
-  // are results, and results must not depend on whether a Registry is
-  // installed.
-  local::BandwidthConfig bw;
   MvcResult result;
   CliqueForest forest;
   PeelingResult peeling;
@@ -78,19 +72,22 @@ struct Engine {
   explicit Engine(const Graph& graph, const MvcOptions& opts)
       : g(graph),
         options(opts),
-        bw(local::current_bandwidth()),
         forest(CliqueForest::build(graph)) {}
 
-  /// Transfer rounds for a `words`-sized logical message: 0 under LOCAL,
-  /// ceil(words / B) under CONGEST.
+  /// Transfer rounds for a `words`-sized logical message under options.net:
+  /// 0 under LOCAL, ceil(words / B) under CONGEST, wherever the documented
+  /// model ships a multi-word message; the *word* charges are identical
+  /// across models. Always-on (not telemetry-gated): round counts are
+  /// results, and results must not depend on whether a Registry is
+  /// installed.
   std::int64_t xfer(std::int64_t words) const {
-    return local::transfer_rounds(words, bw, g.num_vertices());
+    return local::transfer_rounds(words, options.net, g.num_vertices());
   }
 
-  void run() {
+  void run(int k) {
     obs::Span span("MVC Algorithm 2 (Theorem 4)");
     telemetry = span.live();
-    result.k = std::max(2, static_cast<int>(std::ceil(2.0 / options.eps)));
+    result.k = k;
     result.omega = 0;
     for (const auto& clique : forest.cliques()) {
       result.omega = std::max(result.omega, static_cast<int>(clique.size()));
@@ -434,18 +431,25 @@ struct Engine {
 }  // namespace
 
 MvcResult mvc_chordal(const Graph& g, const MvcOptions& options) {
-  if (options.eps <= 0) {
-    throw std::invalid_argument("mvc_chordal: eps must be positive");
+  // Validated in double before the cast: ceil(2/eps) beyond int range (or a
+  // NaN eps) would make the conversion undefined behaviour.
+  const double k_real = std::ceil(2.0 / options.eps);
+  if (!std::isfinite(options.eps) || options.eps <= 0 ||
+      k_real > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(
+        "mvc_chordal: eps must be positive, finite, and have ceil(2/eps) "
+        "fit in an int");
   }
+  const int k = std::max(2, static_cast<int>(k_real));
   if (g.num_vertices() == 0) {
     // Degenerate input still honors the result contract: k is a pure
     // function of eps, not of the graph (fuzz-found: k stayed 0 here).
     MvcResult result;
-    result.k = std::max(2, static_cast<int>(std::ceil(2.0 / options.eps)));
+    result.k = k;
     return result;
   }
   Engine engine(g, options);
-  engine.run();
+  engine.run(k);
   return engine.result;
 }
 

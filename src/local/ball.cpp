@@ -20,7 +20,8 @@ std::int64_t RoundLedger::max_clock() const {
 }
 
 Ball collect_ball(const Graph& g, int center, int radius,
-                  const std::vector<char>* active, RoundLedger* ledger) {
+                  const std::vector<char>* active, RoundLedger* ledger,
+                  const BandwidthConfig& bw) {
   Ball ball;
   ball.vertices = active == nullptr
                       ? ball_vertices(g, center, radius)
@@ -35,7 +36,7 @@ Ball collect_ball(const Graph& g, int center, int radius,
   auto words = static_cast<std::int64_t>(ball.vertices.size() +
                                          2 * ball.graph.num_edges());
   std::int64_t rounds = ball_collection_rounds(
-      radius, words, g.degree(center), current_bandwidth(), g.num_vertices());
+      radius, words, g.degree(center), bw, g.num_vertices());
   if (ledger != nullptr) ledger->charge(center, rounds);
   if (obs::Registry* reg = obs::current()) {
     // The collected view is the ball's adjacency encoding (one word per

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "local/bandwidth.hpp"
 
 namespace chordal::local {
 
@@ -59,9 +60,11 @@ struct Ball {
 /// Collects the ball and charges the collection rounds to `center` on the
 /// ledger (if provided): `radius` under LOCAL (flooding d hops costs d
 /// rounds), max(radius, ceil(volume / (deg * B))) under CONGEST (see
-/// local/bandwidth.hpp ball_collection_rounds).
+/// local/bandwidth.hpp ball_collection_rounds). `bw` only affects that
+/// charge, never the collected ball.
 Ball collect_ball(const Graph& g, int center, int radius,
                   const std::vector<char>* active = nullptr,
-                  RoundLedger* ledger = nullptr);
+                  RoundLedger* ledger = nullptr,
+                  const BandwidthConfig& bw = {});
 
 }  // namespace chordal::local

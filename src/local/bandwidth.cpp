@@ -1,32 +1,10 @@
 #include "local/bandwidth.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace chordal::local {
 
 namespace {
-
-int g_model_override = -1;           // -1 = follow env, 0 = LOCAL, 1 = CONGEST
-std::int64_t g_capacity_override = -1;  // -1 = follow env, >= 0 = fixed/auto
-
-NetworkModel env_model() {
-  const char* value = std::getenv("CHORDAL_NET_MODEL");
-  if (value != nullptr && std::strcmp(value, "congest") == 0) {
-    return NetworkModel::kCongest;
-  }
-  return NetworkModel::kLocal;
-}
-
-std::int64_t env_capacity() {
-  const char* value = std::getenv("CHORDAL_CONGEST_B");
-  if (value == nullptr || value[0] == '\0') return 0;
-  char* end = nullptr;
-  long long parsed = std::strtoll(value, &end, 10);
-  if (end == value || parsed < 0) return 0;
-  return static_cast<std::int64_t>(parsed);
-}
 
 std::int64_t ceil_log2(std::int64_t n) {
   std::int64_t bits = 0;
@@ -35,32 +13,6 @@ std::int64_t ceil_log2(std::int64_t n) {
 }
 
 }  // namespace
-
-BandwidthConfig current_bandwidth() {
-  BandwidthConfig bw;
-  if (g_model_override >= 0) {
-    bw.model = g_model_override != 0 ? NetworkModel::kCongest
-                                     : NetworkModel::kLocal;
-  } else {
-    static const NetworkModel from_env = env_model();
-    bw.model = from_env;
-  }
-  if (g_capacity_override >= 0) {
-    bw.capacity_words = g_capacity_override;
-  } else {
-    static const std::int64_t from_env = env_capacity();
-    bw.capacity_words = from_env;
-  }
-  return bw;
-}
-
-void set_network_model(int model) {
-  g_model_override = model < 0 ? -1 : (model != 0 ? 1 : 0);
-}
-
-void set_congest_capacity(std::int64_t words) {
-  g_capacity_override = words < 0 ? -1 : words;
-}
 
 std::int64_t resolve_capacity_words(const BandwidthConfig& bw, int num_nodes) {
   if (bw.capacity_words > 0) return bw.capacity_words;

@@ -11,12 +11,11 @@
 // (EXPERIMENTS.md "Bandwidth accounting") and the executable one cannot
 // diverge again.
 //
-// Model selection is a process-wide knob, like support/parallel's thread
-// count: the CHORDAL_NET_MODEL / CHORDAL_CONGEST_B environment variables
-// are read once, and set_network_model() / set_congest_capacity() install
-// runtime overrides (negative restores the environment default).
-// current_bandwidth() is cheap enough for hot paths: two relaxed flag
-// loads plus cached env state.
+// Model selection is per run: every driver, Network and flood takes a
+// BandwidthConfig from its caller (MvcOptions::net, MisOptions::net, the
+// Network constructor, the trailing `bw` parameters), and a default-
+// constructed config is LOCAL. Runs under different models can therefore
+// share one process, side by side or concurrently.
 #pragma once
 
 #include <cstdint>
@@ -37,19 +36,10 @@ struct BandwidthConfig {
   std::int64_t capacity_words = 0;
 };
 
-/// The process-wide bandwidth configuration: runtime overrides if installed,
-/// else the CHORDAL_NET_MODEL ("local"/"congest") and CHORDAL_CONGEST_B
-/// environment variables (read once), else LOCAL.
-BandwidthConfig current_bandwidth();
-
-/// Runtime override of the network model: 0 = LOCAL, 1 = CONGEST, negative
-/// restores the environment default.
-void set_network_model(int model);
-
-/// Runtime override of the CONGEST capacity in words: positive installs a
-/// fixed B, 0 restores auto (B = ceil(log2 n)), negative restores the
-/// environment default.
-void set_congest_capacity(std::int64_t words);
+/// CONGEST with capacity `capacity_words` (0 = auto, B = ceil(log2 n)).
+inline BandwidthConfig congest(std::int64_t capacity_words = 0) {
+  return {NetworkModel::kCongest, capacity_words};
+}
 
 /// Concrete per-edge per-round capacity for an n-node network: the config's
 /// fixed capacity if positive, else max(1, ceil(log2 n)).
@@ -61,9 +51,9 @@ std::int64_t resolve_capacity_words(const BandwidthConfig& bw, int num_nodes);
 std::int64_t fragment_rounds(std::int64_t words, std::int64_t capacity);
 
 /// Extra rounds a driver's clock pays to ship a `words`-sized logical
-/// message under the current model: 0 under LOCAL (messages are unbounded,
-/// the transfer piggybacks on the existing one-round exchange), and
-/// ceil(words / B) under CONGEST. This is the always-on counterpart of the
+/// message under `bw`: 0 under LOCAL (messages are unbounded, the transfer
+/// piggybacks on the existing one-round exchange), and ceil(words / B)
+/// under CONGEST. This is the always-on counterpart of the
 /// telemetry word charges below - results must not depend on whether a
 /// Registry is installed.
 std::int64_t transfer_rounds(std::int64_t words, const BandwidthConfig& bw,

@@ -79,8 +79,4 @@ FloodBallsResult flood_balls(const Graph& g, int radius,
   return out;
 }
 
-FloodBallsResult flood_balls(const Graph& g, int radius) {
-  return flood_balls(g, radius, current_bandwidth());
-}
-
 }  // namespace chordal::local

@@ -7,7 +7,8 @@
 // *models* the message cost - this driver moves every word through a real
 // local::Network, so it is the measured workload for the CONGEST round
 // blow-up (bench_congest, E18) and the executable cross-check that the
-// modeled word charges equal what the Network actually transmits.
+// modeled word charges equal what the Network actually transmits. The
+// caller names the model: flood_balls has no implicit default.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +42,5 @@ struct FloodBallsResult {
 /// list edges in sorted encoded order.
 FloodBallsResult flood_balls(const Graph& g, int radius,
                              const BandwidthConfig& bw);
-
-/// Same, under the process-wide bandwidth knob.
-FloodBallsResult flood_balls(const Graph& g, int radius);
 
 }  // namespace chordal::local

@@ -8,10 +8,11 @@
 
 namespace chordal::local {
 
-LubyResult luby_mis(const Graph& g, std::uint64_t seed) {
+LubyResult luby_mis(const Graph& g, std::uint64_t seed,
+                    const BandwidthConfig& bw) {
   const int n = g.num_vertices();
   obs::Span span("Luby MIS (draw/join/deactivate)");
-  Network net(g);
+  Network net(g, bw);
   Rng rng(seed);
 
   enum class State { kActive, kIn, kOut };

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "local/bandwidth.hpp"
 
 namespace chordal::local {
 
@@ -17,7 +18,9 @@ struct LubyResult {
   int phases = 0;                    // Luby phases (3 rounds each)
 };
 
-/// Runs Luby's algorithm to completion. Expected O(log n) phases.
-LubyResult luby_mis(const Graph& g, std::uint64_t seed);
+/// Runs Luby's algorithm to completion over a Network running under `bw`.
+/// Expected O(log n) phases.
+LubyResult luby_mis(const Graph& g, std::uint64_t seed,
+                    const BandwidthConfig& bw = {});
 
 }  // namespace chordal::local

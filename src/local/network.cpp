@@ -9,8 +9,6 @@
 
 namespace chordal::local {
 
-Network::Network(const Graph& g) : Network(g, current_bandwidth()) {}
-
 Network::Network(const Graph& g, BandwidthConfig bw)
     : graph_(&g),
       bw_(bw),

@@ -18,7 +18,8 @@
 // behave bit-identically to LOCAL while rounds() and the per-round
 // telemetry pay the real fragmentation cost. Fragment chunks are traced as
 // kNetFragment events whose lineage id chains back to the originating
-// kNetSend.
+// kNetSend. The model is fixed per Network by its constructor's
+// BandwidthConfig; a default-constructed Network runs under LOCAL.
 //
 // The engine doubles as the telemetry layer's ground truth for bandwidth:
 // it keeps exact per-run NetworkStats (message counts, payload words, and
@@ -125,12 +126,8 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// Model and capacity come from the process-wide bandwidth knob
-  /// (local::current_bandwidth(): CHORDAL_NET_MODEL / CHORDAL_CONGEST_B or
-  /// their runtime overrides).
-  explicit Network(const Graph& g);
-  /// Explicit model override, independent of the process-wide knob.
-  Network(const Graph& g, BandwidthConfig bw);
+  /// Runs under `bw` (default LOCAL) for its whole lifetime.
+  explicit Network(const Graph& g, BandwidthConfig bw = {});
   ~Network();
 
   const Graph& graph() const { return *graph_; }

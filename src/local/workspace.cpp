@@ -159,14 +159,15 @@ void view_from_ball(const Ball& ball, int radius, BallWorkspace& ws,
 
 void collect_ball(const Graph& g, int center, int radius,
                   const std::vector<char>* active, RoundLedger* ledger,
-                  BallWorkspace& ws, Ball& out) {
+                  BallWorkspace& ws, Ball& out,
+                  const BandwidthConfig& bw) {
   collect_ball_core(g, center, radius, active, ws, out);
   auto words = static_cast<std::int64_t>(out.vertices.size() +
                                          2 * out.graph.num_edges());
   // Same congest-aware charge formula as ball.cpp: radius rounds under
   // LOCAL, drain-limited under CONGEST.
   std::int64_t rounds = ball_collection_rounds(
-      radius, words, g.degree(center), current_bandwidth(), g.num_vertices());
+      radius, words, g.degree(center), bw, g.num_vertices());
   if (ledger != nullptr) ledger->charge(center, rounds);
   if (obs::Registry* reg = obs::current()) {
     reg->counter("ball.collections").add(1);

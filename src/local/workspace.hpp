@@ -74,7 +74,8 @@ class BallWorkspace {
 /// no O(n) state is touched.
 void collect_ball(const Graph& g, int center, int radius,
                   const std::vector<char>* active, RoundLedger* ledger,
-                  BallWorkspace& ws, Ball& out);
+                  BallWorkspace& ws, Ball& out,
+                  const BandwidthConfig& bw = {});
 
 /// Workspace form of chordal::compute_local_view: identical LocalView, but
 /// reuses `ws` and `out` storage and skips the per-trusted-vertex O(n)

@@ -36,6 +36,10 @@ class ThreadPool {
   }
 
   void run(std::size_t n, std::size_t workers, const RangeBody& body) {
+    // One job at a time: a second caller thread would otherwise overwrite
+    // the published job while this one's workers still read it. Nested
+    // calls run inline and never get here.
+    std::lock_guard<std::mutex> job(job_mu_);
     std::vector<std::exception_ptr> errors(workers);
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -118,6 +122,7 @@ class ThreadPool {
     }
   }
 
+  std::mutex job_mu_;  // held for the whole of run()
   std::mutex mu_;
   std::condition_variable work_cv_, done_cv_;
   std::vector<std::thread> threads_;

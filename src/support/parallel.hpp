@@ -14,7 +14,9 @@
 // The worker count defaults to the CHORDAL_THREADS environment variable,
 // falling back to the hardware concurrency; set_num_threads() overrides it
 // at runtime (tests sweep 1/2/8). parallel_for calls must not nest: a body
-// that calls parallel_for again runs that inner loop inline.
+// that calls parallel_for again runs that inner loop inline. Concurrent
+// callers serialize: parallel_for from two threads at once is safe, and
+// the second call waits for the pool until the first one finishes.
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/mis.hpp"
@@ -16,32 +17,17 @@
 #include "audit/auditors.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/parallel.hpp"
 #include "test_util.hpp"
 
 namespace chordal {
 namespace {
 
 using local::BandwidthConfig;
+using local::congest;
 using local::Network;
 using local::NetworkModel;
 using local::PayloadRef;
-
-BandwidthConfig congest(std::int64_t b) {
-  BandwidthConfig bw;
-  bw.model = NetworkModel::kCongest;
-  bw.capacity_words = b;
-  return bw;
-}
-
-/// Restores the process-wide bandwidth knobs on scope exit so a failing
-/// test cannot leak CONGEST mode into the rest of the suite.
-class BandwidthKnobRestorer {
- public:
-  ~BandwidthKnobRestorer() {
-    local::set_network_model(-1);
-    local::set_congest_capacity(-1);
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Satellite 1: PayloadRef null-slab regressions. Before the guard,
@@ -214,7 +200,7 @@ TEST(CongestNetworkTest, MultiDeliverRoundsAccumulate) {
 
 TEST(CongestNetworkTest, LocalModeWireStatsCollapseToLogical) {
   Graph g = path_graph(3);
-  Network net(g);  // knob default: LOCAL
+  Network net(g);  // default: LOCAL
   EXPECT_EQ(net.model(), NetworkModel::kLocal);
   EXPECT_EQ(net.capacity_words(), 0);
   net.send(0, 1, {1, 2, 3, 4, 5, 6, 7, 8});
@@ -342,22 +328,18 @@ TEST(FloodBallsTest, ModeledWordsMatchNetworkAndKnowledgeIsModelInvariant) {
 // ---------------------------------------------------------------------------
 
 TEST(CongestDriverTest, MvcAndMisOutputsIdenticalRoundsGrow) {
-  BandwidthKnobRestorer restore;
   RandomChordalConfig config;
   config.n = 120;
   config.max_clique = 5;
   config.seed = 0xC09Eu;
   Graph g = random_chordal(config);
 
-  local::set_network_model(0);
   core::MvcResult mvc_local = core::mvc_chordal(g);
   core::MisResult mis_local = core::mis_chordal(g);
 
   for (std::int64_t b : {std::int64_t{0}, std::int64_t{4}}) {  // auto, fixed
-    local::set_network_model(1);
-    local::set_congest_capacity(b);
-    core::MvcResult mvc_congest = core::mvc_chordal(g);
-    core::MisResult mis_congest = core::mis_chordal(g);
+    core::MvcResult mvc_congest = core::mvc_chordal(g, {.net = congest(b)});
+    core::MisResult mis_congest = core::mis_chordal(g, {.net = congest(b)});
     EXPECT_EQ(mvc_congest.colors, mvc_local.colors) << "B=" << b;
     EXPECT_EQ(mvc_congest.num_colors, mvc_local.num_colors) << "B=" << b;
     EXPECT_EQ(mvc_congest.num_layers, mvc_local.num_layers) << "B=" << b;
@@ -366,9 +348,53 @@ TEST(CongestDriverTest, MvcAndMisOutputsIdenticalRoundsGrow) {
     EXPECT_GE(mis_congest.rounds, mis_local.rounds) << "B=" << b;
   }
   // A tight B must actually cost rounds on a nontrivial workload.
-  local::set_congest_capacity(1);
-  EXPECT_GT(core::mvc_chordal(g).rounds, mvc_local.rounds);
-  EXPECT_GT(core::mis_chordal(g).rounds, mis_local.rounds);
+  EXPECT_GT(core::mvc_chordal(g, {.net = congest(1)}).rounds,
+            mvc_local.rounds);
+  EXPECT_GT(core::mis_chordal(g, {.net = congest(1)}).rounds,
+            mis_local.rounds);
+}
+
+// The model is a per-call option, so a LOCAL run and a CONGEST run may
+// share the process - and the thread pool - at the same time without
+// either seeing the other's model.
+TEST(CongestDriverTest, ConcurrentRunsUnderDifferentModelsMatchSerialRuns) {
+  RandomChordalConfig config;
+  config.n = 3000;
+  config.max_clique = 6;
+  config.seed = 0xC0C0u;
+  Graph g = random_chordal(config);
+
+  struct Outcome {
+    core::MvcResult mvc;
+    core::MisResult mis;
+  };
+  auto run = [&g](const BandwidthConfig& net) {
+    return Outcome{core::mvc_chordal(g, {.net = net}),
+                   core::mis_chordal(g, {.net = net})};
+  };
+
+  support::set_num_threads(4);
+  const Outcome local_serial = run(BandwidthConfig{});
+  const Outcome congest_serial = run(congest(4));
+  EXPECT_GT(congest_serial.mvc.rounds, local_serial.mvc.rounds);
+
+  Outcome local_concurrent, congest_concurrent;
+  std::thread local_thread(
+      [&] { local_concurrent = run(BandwidthConfig{}); });
+  std::thread congest_thread(
+      [&] { congest_concurrent = run(congest(4)); });
+  local_thread.join();
+  congest_thread.join();
+  support::set_num_threads(0);
+
+  auto expect_same = [](const Outcome& got, const Outcome& want) {
+    EXPECT_EQ(got.mvc.colors, want.mvc.colors);
+    EXPECT_EQ(got.mvc.rounds, want.mvc.rounds);
+    EXPECT_EQ(got.mis.chosen, want.mis.chosen);
+    EXPECT_EQ(got.mis.rounds, want.mis.rounds);
+  };
+  expect_same(local_concurrent, local_serial);
+  expect_same(congest_concurrent, congest_serial);
 }
 
 TEST(CongestDriverTest, AuditMatrixRunsFourConfigs) {

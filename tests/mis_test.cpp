@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/baselines.hpp"
 #include "core/mis.hpp"
 #include "graph/generators.hpp"
@@ -44,6 +46,16 @@ TEST(MisChordal, RejectsBadEps) {
                std::invalid_argument);
   EXPECT_THROW(core::mis_chordal(path_graph(4), {.eps = 0.5}),
                std::invalid_argument);
+  // NaN, or d = ceil(64/eps) beyond int: rejected at the boundary instead
+  // of failing later inside peel after an undefined int cast.
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(), 1e-300}) {
+    EXPECT_THROW(core::mis_chordal(path_graph(4), {.eps = eps}),
+                 std::invalid_argument)
+        << "eps=" << eps;
+    EXPECT_THROW(core::mis_chordal(Graph{}, {.eps = eps}),
+                 std::invalid_argument)
+        << "eps=" << eps;
+  }
 }
 
 TEST(MisChordal, EmptyGraph) {

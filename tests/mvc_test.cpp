@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "baselines/baselines.hpp"
 #include "core/mvc.hpp"
@@ -69,6 +70,17 @@ TEST(MvcChordal, RejectsBadEps) {
                std::invalid_argument);
   EXPECT_THROW(core::mvc_chordal(path_graph(3), {.eps = -1.0}),
                std::invalid_argument);
+  // Not finite, or ceil(2/eps) beyond int: the k cast would be undefined
+  // (it used to yield INT_MIN, silently clamped to k = 2).
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), 1e-12}) {
+    EXPECT_THROW(core::mvc_chordal(path_graph(3), {.eps = eps}),
+                 std::invalid_argument)
+        << "eps=" << eps;
+    EXPECT_THROW(core::mvc_chordal(Graph{}, {.eps = eps}),
+                 std::invalid_argument)
+        << "eps=" << eps;
+  }
 }
 
 struct MvcCase {

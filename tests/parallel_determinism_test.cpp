@@ -6,7 +6,10 @@
 // parallel body or merging in a thread-dependent order.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cliqueforest/forest.hpp"
@@ -182,6 +185,39 @@ TEST(ParallelDeterminism, PeelLayersIdenticalAcrossThreadCounts) {
     EXPECT_EQ(peels[0].num_layers, peels[i].num_layers);
     EXPECT_EQ(peels[0].high_degree_counts, peels[i].high_degree_counts);
   }
+}
+
+// The pool is process-wide, so two threads may call parallel_for at once.
+// Each call must still hit every one of its own indices exactly once:
+// concurrent callers serialize on the pool rather than overwriting each
+// other's published job.
+TEST(ParallelDeterminism, ConcurrentCallersEachHitEveryIndexOnce) {
+  ThreadRestorer restore;
+  support::set_num_threads(4);
+  constexpr std::size_t kIndices = 4096;
+  constexpr int kCalls = 2000;
+  auto caller = [](int& bad_calls) {
+    std::vector<std::atomic<int>> hits(kIndices);
+    for (int call = 0; call < kCalls; ++call) {
+      for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+      support::parallel_for(kIndices, [&hits](std::size_t i, std::size_t) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (const auto& h : hits) {
+        if (h.load(std::memory_order_relaxed) != 1) {
+          ++bad_calls;
+          break;
+        }
+      }
+    }
+  };
+  int bad_a = 0, bad_b = 0;
+  std::thread a(caller, std::ref(bad_a));
+  std::thread b(caller, std::ref(bad_b));
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_a, 0);
+  EXPECT_EQ(bad_b, 0);
 }
 
 }  // namespace
