@@ -21,35 +21,53 @@ EliminationOrder peo_candidate(const Graph& g) {
 bool is_perfect_elimination_order(const Graph& g,
                                   const EliminationOrder& peo) {
   const int n = g.num_vertices();
-  if (static_cast<int>(peo.order.size()) != n) return false;
+  const auto un = static_cast<std::size_t>(n);
+  if (peo.order.size() != un || peo.position.size() != un) return false;
+  // order must be a permutation of 0..n-1 and position its inverse; both
+  // are caller input, read unchecked below.
+  for (int i = 0; i < n; ++i) {
+    const int v = peo.order[i];
+    if (v < 0 || v >= n || peo.position[v] != i) return false;
+  }
+  const std::vector<int>& pos = peo.position;
   // Deferred check: for each v, let u = the later neighbor of v closest to v
   // in the order ("follower"). Then the PEO property holds iff
-  // N_later(v) \ {u} is always a subset of N(u). Accumulate the required
-  // adjacencies at u and verify them with one pass over u's neighborhood.
-  std::vector<std::vector<int>> required(static_cast<std::size_t>(n));
-  for (int v : peo.order) {
-    int follower = -1;
+  // N_later(v) \ {u} is always a subset of N(u). The required adjacencies
+  // are bucketed by u into one counting-sorted CSR (count, prefix sum,
+  // scatter) and verified with one pass over each u's neighborhood.
+  std::vector<int> follower(un, -1);
+  std::vector<EdgeIndex> start(un + 1, 0);
+  for (int v = 0; v < n; ++v) {
+    int f = -1;
+    EdgeIndex later = 0;
     for (int w : g.neighbors(v)) {
-      if (peo.position[w] <= peo.position[v]) continue;
-      if (follower == -1 || peo.position[w] < peo.position[follower]) {
-        follower = w;
-      }
+      if (pos[w] <= pos[v]) continue;
+      ++later;
+      if (f == -1 || pos[w] < pos[f]) f = w;
     }
-    if (follower == -1) continue;
+    if (f == -1) continue;
+    follower[v] = f;
+    start[f + 1] += later - 1;
+  }
+  for (int u = 0; u < n; ++u) start[u + 1] += start[u];
+  std::vector<int> required(static_cast<std::size_t>(start[n]));
+  std::vector<EdgeIndex> fill(start.begin(), start.end() - 1);
+  for (int v = 0; v < n; ++v) {
+    const int f = follower[v];
+    if (f == -1) continue;
     for (int w : g.neighbors(v)) {
-      if (peo.position[w] > peo.position[v] && w != follower) {
-        required[follower].push_back(w);
-      }
+      if (pos[w] > pos[v] && w != f) required[fill[f]++] = w;
     }
   }
-  std::vector<char> mark(static_cast<std::size_t>(n), 0);
+  // follower is no longer needed: reuse it as the adjacency stamp of u.
+  std::vector<int>& mark = follower;
+  std::fill(mark.begin(), mark.end(), -1);
   for (int u = 0; u < n; ++u) {
-    if (required[u].empty()) continue;
-    for (int w : g.neighbors(u)) mark[w] = 1;
-    bool ok = true;
-    for (int w : required[u]) ok = ok && mark[w];
-    for (int w : g.neighbors(u)) mark[w] = 0;
-    if (!ok) return false;
+    if (start[u] == start[u + 1]) continue;
+    for (int w : g.neighbors(u)) mark[w] = u;
+    for (EdgeIndex i = start[u]; i < start[u + 1]; ++i) {
+      if (mark[required[i]] != u) return false;
+    }
   }
   return true;
 }
@@ -64,22 +82,6 @@ EliminationOrder peo_or_throw(const Graph& g) {
     throw std::invalid_argument("peo_or_throw: graph is not chordal");
   }
   return peo;
-}
-
-bool is_simplicial(const Graph& g, int v, const std::vector<char>& active) {
-  if (!active[v]) {
-    throw std::invalid_argument("is_simplicial: inactive vertex");
-  }
-  std::vector<int> nbrs;
-  for (int w : g.neighbors(v)) {
-    if (active[w]) nbrs.push_back(w);
-  }
-  for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
-      if (!g.has_edge(nbrs[i], nbrs[j])) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace chordal

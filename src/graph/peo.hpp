@@ -20,8 +20,9 @@ struct EliminationOrder {
 /// Candidate PEO: reverse Lex-BFS order. A genuine PEO iff g is chordal.
 EliminationOrder peo_candidate(const Graph& g);
 
-/// Verifies the PEO property in O(n + m) amortized time (Rose-Tarjan-Lueker
-/// style deferred adjacency checks).
+/// Verifies the PEO property in O(n + m) time (Rose-Tarjan-Lueker style
+/// deferred adjacency checks). Returns false, not UB, when `order` is not a
+/// permutation of the vertices or `position` is not its inverse.
 bool is_perfect_elimination_order(const Graph& g, const EliminationOrder& peo);
 
 /// Chordality test: Lex-BFS + PEO verification.
@@ -29,9 +30,5 @@ bool is_chordal(const Graph& g);
 
 /// Computes a verified PEO; throws std::invalid_argument if g is not chordal.
 EliminationOrder peo_or_throw(const Graph& g);
-
-/// True if v is simplicial (its neighborhood is a clique) in the subgraph
-/// induced by {u : active[u]}; v must be active.
-bool is_simplicial(const Graph& g, int v, const std::vector<char>& active);
 
 }  // namespace chordal

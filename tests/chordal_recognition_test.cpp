@@ -47,9 +47,55 @@ TEST(Peo, VerifierRejectsBadOrder) {
   EXPECT_FALSE(is_perfect_elimination_order(g, order));
 }
 
+// Malformed {order, position} pairs: the path has a valid PEO, so each
+// false below is the permutation/inverse check, and none may read out of
+// bounds.
+TEST(Peo, VerifierAcceptsWellFormedOrder) {
+  EXPECT_TRUE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 2, 3}, {0, 1, 2, 3}}));
+}
+
+TEST(Peo, VerifierRejectsShortPosition) {
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 2, 3}, {0, 1}}));
+}
+
+TEST(Peo, VerifierRejectsLongPosition) {
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 2, 3}, {0, 1, 2, 3, 4}}));
+}
+
+TEST(Peo, VerifierRejectsShortOrder) {
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 2}, {0, 1, 2, 3}}));
+}
+
+TEST(Peo, VerifierRejectsOutOfRangeId) {
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 2, 4}, {0, 1, 2, 3}}));
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{-1, 1, 2, 3}, {0, 1, 2, 3}}));
+}
+
+TEST(Peo, VerifierRejectsRepeatedId) {
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 1, 3}, {0, 1, 2, 3}}));
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 1, 3}, {0, 2, 9, 3}}));
+}
+
+TEST(Peo, VerifierRejectsPositionThatIsNotTheInverse) {
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 2, 3}, {1, 0, 2, 3}}));
+  EXPECT_FALSE(is_perfect_elimination_order(
+      path_graph(4), {{0, 1, 2, 3}, {0, 1, 2, -7}}));
+}
+
 TEST(Peo, ThrowsOnNonChordal) {
   EXPECT_THROW(peo_or_throw(cycle_graph(5)), std::invalid_argument);
 }
+
+using testing::is_simplicial;
 
 TEST(Peo, SimplicialDetection) {
   Graph g = testing::paper_figure1_graph();

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -104,6 +105,25 @@ inline bool is_independent_set(const Graph& g, const std::vector<int>& set) {
   for (std::size_t i = 0; i < set.size(); ++i) {
     for (std::size_t j = i + 1; j < set.size(); ++j) {
       if (g.has_edge(set[i], set[j])) return false;
+    }
+  }
+  return true;
+}
+
+/// True if v is simplicial (its neighborhood is a clique) in the subgraph
+/// induced by {u : active[u]}; v must be active.
+inline bool is_simplicial(const Graph& g, int v,
+                          const std::vector<char>& active) {
+  if (!active[v]) {
+    throw std::invalid_argument("is_simplicial: inactive vertex");
+  }
+  std::vector<int> nbrs;
+  for (int w : g.neighbors(v)) {
+    if (active[w]) nbrs.push_back(w);
+  }
+  for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    for (std::size_t j = i + 1; j < nbrs.size(); ++j) {
+      if (!g.has_edge(nbrs[i], nbrs[j])) return false;
     }
   }
   return true;
