@@ -4,7 +4,6 @@
 // ratio must stay below 1+eps.
 #include "bench_common.hpp"
 #include "interval/mis_interval.hpp"
-#include "interval/offline.hpp"
 #include "interval/rep.hpp"
 
 int main(int argc, char** argv) {
@@ -22,7 +21,8 @@ int main(int argc, char** argv) {
                    std::to_string(gen.graph.num_vertices()));
     auto rep = interval::from_geometry(gen.left, gen.right);
     auto ours = interval::approx_mis_interval(rep, eps);
-    int opt = interval::alpha(rep);
+    PathScratch scratch;
+    int opt = interval_alpha(rep, scratch);
     table.add_row({name, Table::fmt(gen.graph.num_vertices()),
                    Table::fmt(eps, 3),
                    Table::fmt((long long)ours.chosen.size()),

@@ -10,7 +10,6 @@
 
 #include "graph/generators.hpp"
 #include "interval/mis_interval.hpp"
-#include "interval/offline.hpp"
 #include "interval/rep.hpp"
 #include "support/table.hpp"
 
@@ -42,7 +41,8 @@ int main() {
                                           .seed = 77});
         auto rep = interval::from_geometry(gen.left, gen.right);
         auto ours = interval::approx_mis_interval(rep, eps);
-        int opt = interval::alpha(rep);
+        PathScratch scratch;
+        int opt = interval_alpha(rep, scratch);
         table.add_row({scenario.name, Table::fmt(n), Table::fmt(eps, 2),
                        Table::fmt((long long)ours.chosen.size()),
                        Table::fmt(opt),

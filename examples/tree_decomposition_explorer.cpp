@@ -62,11 +62,14 @@ int main() {
 
   std::printf("\nMaximal binary paths of the forest:\n");
   std::vector<char> active(static_cast<std::size_t>(forest.num_cliques()), 1);
+  PathScratch scratch;
   for (const auto& path : maximal_binary_paths(forest, active)) {
+    // G[V_P] is the interval graph of the path's clique positions (Lemma 7).
+    interval_model(forest.cliques(), path.cliques, scratch, scratch.rep);
     std::printf("  %s path of %zu cliques, diameter %d, alpha %d\n",
                 path.pendant ? "pendant " : "internal",
-                path.cliques.size(), path_diameter(g, forest, path),
-                path_independence(forest, path));
+                path.cliques.size(), interval_diameter(scratch.rep, scratch),
+                interval_alpha(scratch.rep, scratch));
   }
 
   std::printf("\nLocal view of node 10 from its distance-3 ball "

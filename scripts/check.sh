@@ -3,7 +3,8 @@
 # combined ASan+UBSan configuration, and the ThreadSanitizer configuration
 # (which exercises the parallel_for drivers at several worker counts),
 # then a pipeline digest smoke run (every pipebench workload, in both trace
-# modes, must reproduce its pinned per-stage output digests), a
+# modes at small size and once at full size, must reproduce its pinned
+# per-stage output digests), a
 # CONGEST-parity smoke run (three driver benches under --model congest must
 # match their LOCAL runs outside round counts and net.* telemetry, and
 # must differ from them before that scrub),
@@ -62,6 +63,19 @@ echo "== Pipeline digest smoke (graph -> colors / MIS / labels, end to end) =="
 # stage's output digest must equal its pin in pipebench/digests.json, so
 # outputs stay bit-identical end to end.
 python3 "$repo/pipebench/run.py" --small
+# The small pins cover only small graphs, and run.py exits 0 on a digest
+# mismatch, so each workload also runs once at full size (seed 1, no timed
+# repeats) and must report "correct": true on its last line.
+for workload in interval-1m ktree-50k views-congest; do
+  last="$(python3 "$repo/pipebench/run.py" --workload "$workload" --seed 1 \
+    --seconds 0 | tail -n 1)"
+  if ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+    "$last" 2>/dev/null; then
+    echo "$workload: full-size pipeline run is not correct: $last" >&2
+    exit 1
+  fi
+done
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 

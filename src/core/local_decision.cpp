@@ -6,7 +6,6 @@
 #include <string>
 
 #include "cliqueforest/local_view.hpp"
-#include "graph/diameter.hpp"
 #include "local/workspace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -19,18 +18,12 @@ namespace {
 
 enum class EndKind { kBranch, kLeaf, kHorizon };
 
-struct ChainEnd {
-  EndKind kind = EndKind::kBranch;
-};
-
 /// What a node can certify about the maximal binary path around T(v) from
-/// its ball: the two end kinds, and the visible chain's diameter and
-/// independence number.
+/// its ball: the two end kinds. The visible chain itself stays in the
+/// worker's DecisionScratch for chain_model.
 struct ChainAnalysis {
   bool family_binary = false;  // all cliques of T(v) have visible degree <=2
   EndKind ends[2] = {EndKind::kBranch, EndKind::kBranch};
-  int diameter = 0;
-  int independence = 0;
 };
 
 /// One worker's reusable state for the per-node decision loop: the ball
@@ -40,15 +33,11 @@ struct ChainAnalysis {
 struct DecisionScratch {
   local::BallWorkspace ws;
   LocalView view;
-  SubsetSweepScratch sweep;
   std::vector<int> adj_off, adj_cursor, adj_list;  // view-forest CSR
   std::vector<int> family;
-  std::vector<char> in_family, in_chain;
-  std::vector<int> chain;
-  std::vector<int> chain_pos;
-  std::vector<int> cadj0, cadj1;  // chain neighbors (paths have degree <= 2)
-  std::vector<int> union_vertices;
-  std::vector<std::pair<int, int>> ranges;
+  std::vector<char> in_family;
+  std::vector<int> chain;  // the visible chain's cliques, in path order
+  PathScratch intervals;   // the chain's interval model and its queries
 };
 
 /// One worker scratch per thread. Under an obs::Tracer each worker's
@@ -125,13 +114,12 @@ ChainAnalysis analyze_chain(const Graph& g, int v, int radius,
   }
   analysis.family_binary = true;
 
-  // Collect the maximal visible binary chain containing T(v). The family
-  // is a subpath; each side walks outward from one family tip along its
-  // unique non-family direction.
+  // Collect the maximal visible binary chain containing T(v), in path
+  // order: side 0's outward walk reversed, the family from tip 0 to tip 1,
+  // then side 1's outward walk. Each side walks from one family tip along
+  // its unique non-family direction.
   s.in_family.assign(static_cast<std::size_t>(m), 0);
   for (int c : family) s.in_family[c] = 1;
-  s.chain.assign(family.begin(), family.end());
-  ChainEnd ends[2];
   // The family is a subtree of a binary chain, i.e. a subpath, but it is
   // stored in clique-index order: recover its true tips (members with at
   // most one family neighbor) before walking outward.
@@ -155,122 +143,53 @@ ChainAnalysis analyze_chain(const Graph& g, int v, int radius,
       }
     }
   }
-  for (int side = 0; side < 2; ++side) {
+  auto walk_outward = [&](int side) {
     // Family cliques sit within Gamma[v]: degree-trusted, so a missing
     // outward direction is a genuine leaf end of the maximal path.
-    if (steps[side] == -1) {
-      ends[side].kind = EndKind::kLeaf;
-      continue;
-    }
+    if (steps[side] == -1) return EndKind::kLeaf;
     int prev = tips[side];
     int cur = steps[side];
     for (;;) {
-      if (adj_size(cur) >= 3) {
-        // Visible degrees never overestimate: a real branch vertex, which
-        // terminates the maximal binary path (and is not part of it).
-        ends[side].kind = EndKind::kBranch;
-        break;
-      }
+      // Visible degrees never overestimate: a real branch vertex, which
+      // terminates the maximal binary path (and is not part of it).
+      if (adj_size(cur) >= 3) return EndKind::kBranch;
       s.chain.push_back(cur);
-      if (!degree_trusted(cur)) {
-        // The view may miss forest edges here; everything farther out is
-        // beyond the certainty horizon.
-        ends[side].kind = EndKind::kHorizon;
-        break;
-      }
+      // The view may miss forest edges here; everything farther out is
+      // beyond the certainty horizon.
+      if (!degree_trusted(cur)) return EndKind::kHorizon;
       int next = -1;
       for (int c : adj(cur)) {
         if (c != prev) next = c;
       }
-      if (next == -1) {
-        ends[side].kind = EndKind::kLeaf;
-        break;
-      }
+      if (next == -1) return EndKind::kLeaf;
       prev = cur;
       cur = next;
     }
+  };
+  s.chain.clear();
+  analysis.ends[0] = walk_outward(0);
+  std::reverse(s.chain.begin(), s.chain.end());
+  for (int prev = -1, cur = tips[0]; cur != -1;) {
+    s.chain.push_back(cur);
+    int next = -1;
+    for (int d : adj(cur)) {
+      if (s.in_family[d] && d != prev) next = d;
+    }
+    prev = cur;
+    cur = next;
   }
-  const auto& chain = s.chain;
-
-  analysis.ends[0] = ends[0].kind;
-  analysis.ends[1] = ends[1].kind;
-
-  // Diameter and independence number of the visible chain (exact within
-  // the active subgraph: the chain union's shortest paths never leave it,
-  // cf. path_diameter; independence via the chain's interval model).
-  auto& union_vertices = s.union_vertices;
-  union_vertices.clear();
-  for (int c : chain) {
-    CliqueWord word = view.cliques[c];
-    union_vertices.insert(union_vertices.end(), word.begin(), word.end());
-  }
-  std::sort(union_vertices.begin(), union_vertices.end());
-  union_vertices.erase(
-      std::unique(union_vertices.begin(), union_vertices.end()),
-      union_vertices.end());
-  analysis.diameter = diameter_double_sweep_subset(g, union_vertices, s.sweep);
-
-  // Independence: order chain cliques along the path; vertex ranges are
-  // their clipped clique positions; exact greedy on that interval model.
-  {
-    // chain = family ++ side walks; recover path order by walking the
-    // chain's own adjacency from one true end (it is a path, so every
-    // member has at most two chain neighbors).
-    s.in_chain.assign(static_cast<std::size_t>(m), 0);
-    for (int c : chain) s.in_chain[c] = 1;
-    s.cadj0.resize(static_cast<std::size_t>(m));
-    s.cadj1.resize(static_cast<std::size_t>(m));
-    for (int c : chain) {
-      int n0 = -1, n1 = -1;
-      for (int d : adj(c)) {
-        if (!s.in_chain[d]) continue;
-        (n0 == -1 ? n0 : n1) = d;
-      }
-      s.cadj0[c] = n0;
-      s.cadj1[c] = n1;
-    }
-    int start = chain.front();
-    for (int c : chain) {
-      int degree = (s.cadj0[c] != -1 ? 1 : 0) + (s.cadj1[c] != -1 ? 1 : 0);
-      if (degree <= 1) start = c;
-    }
-    s.chain_pos.resize(static_cast<std::size_t>(m));
-    int prev = -1, cur = start, pos = 0;
-    while (cur != -1) {
-      s.chain_pos[cur] = pos++;
-      int next = -1;
-      if (s.cadj0[cur] != -1 && s.cadj0[cur] != prev) next = s.cadj0[cur];
-      if (s.cadj1[cur] != -1 && s.cadj1[cur] != prev) next = s.cadj1[cur];
-      prev = cur;
-      cur = next;
-    }
-  }
-  {
-    auto& ranges = s.ranges;  // (hi, lo) per union vertex
-    ranges.clear();
-    for (int u : union_vertices) {
-      int lo = static_cast<int>(chain.size()), hi = -1;
-      for (int c : chain) {
-        CliqueWord word = view.cliques[c];
-        if (std::binary_search(word.begin(), word.end(),
-                               static_cast<VertexId>(u))) {
-          lo = std::min(lo, s.chain_pos[c]);
-          hi = std::max(hi, s.chain_pos[c]);
-        }
-      }
-      ranges.emplace_back(hi, lo);
-    }
-    std::sort(ranges.begin(), ranges.end());
-    int last_hi = -1, count = 0;
-    for (auto [hi, lo] : ranges) {
-      if (lo > last_hi) {
-        ++count;
-        last_hi = hi;
-      }
-    }
-    analysis.independence = count;
-  }
+  analysis.ends[1] = walk_outward(1);
   return analysis;
+}
+
+/// Interval model of the chain the last analyze_chain call collected: its
+/// clique positions (Lemma 7). Diameter and alpha on it are exact within
+/// the active subgraph, whose shortest paths between chain-union vertices
+/// never leave the union. Built only when the two ends leave the decision
+/// to a threshold.
+const PathIntervals& chain_model(DecisionScratch& s) {
+  interval_model(s.view.cliques, s.chain, s.intervals, s.intervals.rep);
+  return s.intervals.rep;
 }
 
 /// One node's coloring-mode pruning decision (threshold: diam >= 3k).
@@ -286,7 +205,7 @@ bool decide_locally(const Graph& g, int v, int radius, int k,
     // diameter >= 3k; the maximal path is removable whatever lies beyond.
     return true;
   }
-  return a.diameter >= 3 * k;
+  return interval_diameter(chain_model(scratch), scratch.intervals) >= 3 * k;
 }
 
 /// One node's MIS-mode pruning decision: pendant always; internal paths by
@@ -303,7 +222,9 @@ bool decide_locally_mis(const Graph& g, int v, int radius, int d,
     // under either threshold.
     return true;
   }
-  return last_round ? a.independence >= d : a.diameter >= 2 * d + 3;
+  const PathIntervals& rep = chain_model(scratch);
+  return last_round ? interval_alpha(rep, scratch.intervals) >= d
+                    : interval_diameter(rep, scratch.intervals) >= 2 * d + 3;
 }
 
 /// The audit loop shared by both modes: replays the peeling's activity
@@ -390,7 +311,6 @@ PeelingResult peel_with_local_decisions(const Graph& g,
       if (deg >= 3) ++high_degree;
     }
     result.high_degree_counts.push_back(high_degree);
-    result.active_at.push_back(active_clique);
 
     // Every active node decides independently from its own ball: the
     // canonical embarrassingly-parallel LOCAL loop. Workers own disjoint

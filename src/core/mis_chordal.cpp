@@ -8,7 +8,6 @@
 #include "core/peeling.hpp"
 #include "interval/absorbing_mis.hpp"
 #include "interval/mis_interval.hpp"
-#include "interval/offline.hpp"
 #include "local/bandwidth.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -125,7 +124,7 @@ MisResult mis_chordal(const Graph& g, const MisOptions& options) {
       const auto& lp = layer[pi];
       PathOutcome& out = outcomes[pi];
       PathScratch& ps = scratch[worker];
-      path_intervals(forest, lp.path, ps, ps.rep);
+      interval_model(forest.cliques(), lp.path.cliques, ps, ps.rep);
       const PathIntervals& full = ps.rep;
       // Eligible = owned vertices with no neighbor already chosen.
       std::vector<std::size_t> eligible;
@@ -156,7 +155,7 @@ MisResult mis_chordal(const Graph& g, const MisOptions& options) {
               static_cast<std::int64_t>(sub.vertices.size()) * broadcast_words;
         }
         std::vector<std::size_t> picked_local;
-        if (interval::alpha(sub) < result.d) {
+        if (interval_alpha(sub, ps) < result.d) {
           ++out.absorbing;
           // Attachment side: the component touches the left (right) end
           // clique of the path iff some member covers the first (last)

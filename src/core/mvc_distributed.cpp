@@ -23,38 +23,6 @@ namespace {
 
 using interval::PathIntervals;
 
-/// Multi-source distances in the interval model (span-growth BFS).
-std::vector<int> interval_distances_from_set(
-    const PathIntervals& rep, const std::vector<std::size_t>& sources,
-    int max_level) {
-  const std::size_t n = rep.vertices.size();
-  std::vector<int> dist(n, -1);
-  int span_lo = rep.num_positions, span_hi = -1;
-  for (std::size_t s : sources) {
-    dist[s] = 0;
-    span_lo = std::min(span_lo, rep.lo[s]);
-    span_hi = std::max(span_hi, rep.hi[s]);
-  }
-  if (sources.empty()) return dist;
-  for (int level = 1; level <= max_level; ++level) {
-    int new_lo = span_lo, new_hi = span_hi;
-    bool any = false;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (dist[v] != -1) continue;
-      if (rep.lo[v] <= span_hi && rep.hi[v] >= span_lo) {
-        dist[v] = level;
-        new_lo = std::min(new_lo, rep.lo[v]);
-        new_hi = std::max(new_hi, rep.hi[v]);
-        any = true;
-      }
-    }
-    if (!any) break;
-    span_lo = new_lo;
-    span_hi = new_hi;
-  }
-  return dist;
-}
-
 struct Engine {
   const Graph& g;
   const MvcOptions& options;
@@ -221,7 +189,7 @@ struct Engine {
           const int unit_layer = units[idx].second;
           obs::TraceBuf* tb =
               tracer != nullptr ? &tracer->worker(worker) : nullptr;
-          path_intervals(forest, lp.path, t.scratch, t.full);
+          interval_model(forest.cliques(), lp.path.cliques, t.scratch, t.full);
           const PathIntervals& full = t.full;
           std::vector<std::size_t> owned_idx;
           for (std::size_t i = 0; i < full.vertices.size(); ++i) {
@@ -309,7 +277,7 @@ struct Engine {
 
   void correct_path(const LayerPath& lp, int layer, obs::TraceBuf* tb,
                     WorkerTally& t) {
-    path_intervals(forest, lp.path, t.scratch, t.full);
+    interval_model(forest.cliques(), lp.path.cliques, t.scratch, t.full);
     const PathIntervals& full = t.full;
     const std::size_t n = full.vertices.size();
     std::vector<char> is_owned(n, 0);
@@ -341,7 +309,11 @@ struct Engine {
     }
     if (boundary.empty()) return;
 
-    auto dist = interval_distances_from_set(full, boundary, result.k + 5);
+    // Grown from the hull of W', which spans the whole path when W' sits at
+    // both ends; Algorithm 4's window is within k+4 of W' itself, but that
+    // bound changes the outputs, so the hull start stays.
+    std::vector<int>& dist = t.scratch.dist;
+    interval_distances(full, boundary, result.k + 5, t.scratch, dist);
     // Window: everything within k+4 of W'; free = owned within k+3.
     std::vector<std::size_t> window;
     for (std::size_t i = 0; i < n; ++i) {

@@ -59,23 +59,21 @@ PeelingResult peel(const Graph& g, const CliqueForest& forest,
     support::parallel_for(
         paths.size(), [&](std::size_t i, std::size_t worker) {
           const ForestPath& path = paths[i];
-          bool take;
-          if (path.pendant) {
-            take = true;
-          } else if (config.mode == PeelMode::kColoring) {
-            take = path_diameter(g, forest, path, scratch[worker]) >=
-                   3 * config.k;
-          } else if (last_mis_round) {
-            take = path_independence(forest, path, scratch[worker]) >=
-                   config.d;
-          } else {
-            take = path_diameter(g, forest, path, scratch[worker]) >=
-                   2 * config.d + 3;
+          PathScratch& s = scratch[worker];
+          bool take = path.pendant;
+          if (!take) {
+            interval_model(forest.cliques(), path.cliques, s, s.rep);
+            if (config.mode == PeelMode::kColoring) {
+              take = interval_diameter(s.rep, s) >= 3 * config.k;
+            } else if (last_mis_round) {
+              take = interval_alpha(s.rep, s) >= config.d;
+            } else {
+              take = interval_diameter(s.rep, s) >= 2 * config.d + 3;
+            }
           }
           if (!take) return;
           selected[i] = 1;
-          path_owned_vertices(forest, active, path, scratch[worker],
-                              owned[i]);
+          path_owned_vertices(forest, active, path, s, owned[i]);
         });
     std::vector<LayerPath> taken;
     for (std::size_t i = 0; i < paths.size(); ++i) {
@@ -93,12 +91,10 @@ PeelingResult peel(const Graph& g, const CliqueForest& forest,
       // MIS mode may legitimately stall between thresholds; still count the
       // iteration (the distributed algorithm spends the rounds regardless).
       result.layers.emplace_back();
-      result.active_at.push_back(active);
       result.num_layers = iter;
       continue;
     }
 
-    result.active_at.push_back(active);
     if (layer_span.live()) {
       std::size_t owned_total = 0;
       for (const auto& lp : taken) owned_total += lp.owned.size();

@@ -45,9 +45,6 @@ struct PeelingResult {
   int num_layers = 0;
   /// layers[i-1]: the paths L_i with their owned vertex sets.
   std::vector<std::vector<LayerPath>> layers;
-  /// active_at[i-1][c]: whether clique c was still active when iteration i
-  /// started (needed by the correction phase and by parent computation).
-  std::vector<std::vector<char>> active_at;
   /// Count of degree->=3 forest vertices per iteration start, recorded to
   /// let tests and benches check the Lemma 6 halving invariant.
   std::vector<int> high_degree_counts;

@@ -22,8 +22,9 @@ int sweep_eccentricity(const Graph& g, int source, BfsScratch& s,
 
 }  // namespace
 
-int diameter_exact(const Graph& g, BfsScratch& scratch) {
+int diameter_exact(const Graph& g) {
   if (g.num_vertices() <= 1) return 0;
+  BfsScratch scratch;
   int best = 0;
   for (int v = 0; v < g.num_vertices(); ++v) {
     best = std::max(
@@ -32,93 +33,19 @@ int diameter_exact(const Graph& g, BfsScratch& scratch) {
   return best;
 }
 
-int diameter_exact(const Graph& g) {
-  BfsScratch scratch;
-  return diameter_exact(g, scratch);
-}
-
-int diameter_double_sweep(const Graph& g, int seed, BfsScratch& scratch) {
+int diameter_double_sweep(const Graph& g, int seed) {
   if (g.num_vertices() <= 1) return 0;
+  BfsScratch scratch;
   const std::size_t reached = bfs_scratch(g, seed, scratch);
   if (reached != static_cast<std::size_t>(g.num_vertices())) {
     throw std::invalid_argument("diameter: not connected");
   }
-  // Farthest vertex, ties to the smallest id - the ascending scan matches
-  // the allocating form exactly (all distances are stamped: connected).
+  // Farthest vertex, ties to the smallest id.
   int far = seed;
   for (int v = 0; v < g.num_vertices(); ++v) {
     if (scratch.dist[v] > scratch.dist[far]) far = v;
   }
   return sweep_eccentricity(g, far, scratch, "diameter: not connected");
-}
-
-int diameter_double_sweep(const Graph& g, int seed) {
-  BfsScratch scratch;
-  return diameter_double_sweep(g, seed, scratch);
-}
-
-int eccentricity(const Graph& g, int v, BfsScratch& scratch) {
-  if (g.num_vertices() <= 1) return 0;
-  return sweep_eccentricity(g, v, scratch, "diameter: graph not connected");
-}
-
-int eccentricity(const Graph& g, int v) {
-  BfsScratch scratch;
-  return eccentricity(g, v, scratch);
-}
-
-void SubsetSweepScratch::ensure(int num_vertices) {
-  auto n = static_cast<std::size_t>(num_vertices);
-  if (member_stamp.size() < n) {
-    member_stamp.resize(n, 0);
-    visit_stamp.resize(n, 0);
-    dist.resize(n, 0);
-  }
-}
-
-int diameter_double_sweep_subset(const Graph& g, const std::vector<int>& verts,
-                                 SubsetSweepScratch& s) {
-  if (verts.size() <= 1) return 0;
-  s.ensure(g.num_vertices());
-  const std::uint64_t member = ++s.epoch;
-  for (int v : verts) s.member_stamp[v] = member;
-  auto sweep = [&](int source) {
-    const std::uint64_t visit = ++s.epoch;
-    s.frontier.clear();
-    s.frontier.push_back(source);
-    s.visit_stamp[source] = visit;
-    s.dist[source] = 0;
-    for (std::size_t head = 0; head < s.frontier.size(); ++head) {
-      int u = s.frontier[head];
-      for (int w : g.neighbors(u)) {
-        if (s.member_stamp[w] != member || s.visit_stamp[w] == visit) continue;
-        s.visit_stamp[w] = visit;
-        s.dist[w] = s.dist[u] + 1;
-        s.frontier.push_back(w);
-      }
-    }
-    return visit;
-  };
-  // First sweep starts at verts.front() == induced-local vertex 0; ties for
-  // the farthest vertex resolve to the smallest member, as in
-  // diameter_double_sweep on the induced subgraph.
-  std::uint64_t visit = sweep(verts.front());
-  int far = verts.front();
-  for (int v : verts) {
-    if (s.visit_stamp[v] != visit) {
-      throw std::invalid_argument("diameter: not connected");
-    }
-    if (s.dist[v] > s.dist[far]) far = v;
-  }
-  visit = sweep(far);
-  int best = 0;
-  for (int v : verts) {
-    if (s.visit_stamp[v] != visit) {
-      throw std::invalid_argument("diameter: not connected");
-    }
-    best = std::max(best, s.dist[v]);
-  }
-  return best;
 }
 
 }  // namespace chordal

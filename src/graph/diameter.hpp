@@ -1,16 +1,9 @@
-// Diameter and eccentricity computations.
-//
-// The peeling process (Algorithm 1, step 1a) thresholds clique-forest paths
-// by the *exact* diameter of the interval subgraph they induce, so we provide
-// both an exact all-pairs routine (for tests / small graphs) and a
-// double-sweep BFS used in production and validated against the exact one by
-// property tests (exact on the connected interval graphs we feed it).
+// Diameter of a general graph by BFS. The interval-model queries of the
+// peeling (Algorithm 1, step 1a) do not come through here: they use the
+// exact closed form interval_diameter (cliqueforest/paths.hpp), and
+// diameter_exact is the all-pairs reference the tests check it against.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace chordal {
@@ -20,40 +13,9 @@ namespace chordal {
 int diameter_exact(const Graph& g);
 
 /// Double-sweep: BFS from `seed`, then BFS from the farthest vertex found.
-/// Lower-bounds the diameter in general; exact on (connected) interval
-/// graphs, which is the only place the algorithms rely on it.
+/// A lower bound on the diameter, exact on trees. Not exact on interval
+/// graphs: on [0,1] x 5, [0,0] x 2, [1,1] a sweep seeded at vertex 0
+/// returns 1, while the diameter is 2.
 int diameter_double_sweep(const Graph& g, int seed = 0);
-
-/// Eccentricity of v (max distance to any vertex; requires connectivity).
-int eccentricity(const Graph& g, int v);
-
-/// Scratch forms: identical results, but every BFS runs through the
-/// epoch-stamped BfsScratch - diameter_exact drops from n allocations to
-/// zero once the scratch is warm. The allocating forms above delegate here.
-int diameter_exact(const Graph& g, BfsScratch& scratch);
-int diameter_double_sweep(const Graph& g, int seed, BfsScratch& scratch);
-int eccentricity(const Graph& g, int v, BfsScratch& scratch);
-
-/// Reusable scratch for diameter_double_sweep_subset. Epoch-stamped, so a
-/// call touches only subset-sized state; one scratch per worker thread.
-class SubsetSweepScratch {
- public:
-  /// Grows the stamped tables to the host graph size (no-op once sized).
-  void ensure(int num_vertices);
-
-  // Internal state (used by diameter.cpp).
-  std::uint64_t epoch = 0;
-  std::vector<std::uint64_t> member_stamp;  // subset membership epoch
-  std::vector<std::uint64_t> visit_stamp;   // BFS visit epoch
-  std::vector<int> dist;                    // BFS distance, valid if stamped
-  std::vector<int> frontier;                // flat BFS queue
-};
-
-/// diameter_double_sweep of G[verts] without materializing the induced
-/// subgraph; `verts` must be sorted ascending, so the sweep's farthest-
-/// vertex tie-breaks match the induced form exactly (local index order ==
-/// ascending vertex order). Throws if G[verts] is not connected.
-int diameter_double_sweep_subset(const Graph& g, const std::vector<int>& verts,
-                                 SubsetSweepScratch& scratch);
 
 }  // namespace chordal

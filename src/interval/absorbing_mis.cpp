@@ -7,40 +7,23 @@ namespace chordal::interval {
 
 std::vector<std::size_t> absorbing_mis(const PathIntervals& rep,
                                        AttachSide side) {
-  const std::size_t n = rep.vertices.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  // Attachment on the left: sweep right-to-left, i.e. run the greedy on the
+  // mirror image (x -> num_positions - x), where the latest start ends
+  // first. No attachment or attachment on the right: the plain sweep.
+  PathIntervals mirrored;
+  const PathIntervals* model = &rep;
   if (side == AttachSide::kLeft) {
-    // Attachment on the left: sweep right-to-left (latest start first).
-    std::sort(order.begin(), order.end(),
-              [&rep](std::size_t x, std::size_t y) {
-                if (rep.lo[x] != rep.lo[y]) return rep.lo[x] > rep.lo[y];
-                return rep.hi[x] > rep.hi[y];
-              });
-    std::vector<std::size_t> chosen;
-    int last_lo = rep.num_positions + 1;
-    for (std::size_t i : order) {
-      if (rep.hi[i] < last_lo) {
-        chosen.push_back(i);
-        last_lo = rep.lo[i];
-      }
+    mirrored.vertices = rep.vertices;
+    mirrored.num_positions = rep.num_positions + 1;
+    for (std::size_t i = 0; i < rep.vertices.size(); ++i) {
+      mirrored.lo.push_back(rep.num_positions - rep.hi[i]);
+      mirrored.hi.push_back(rep.num_positions - rep.lo[i]);
     }
-    std::sort(chosen.begin(), chosen.end());
-    return chosen;
+    model = &mirrored;
   }
-  // No attachment or attachment on the right: classic left-to-right sweep.
-  std::sort(order.begin(), order.end(), [&rep](std::size_t x, std::size_t y) {
-    if (rep.hi[x] != rep.hi[y]) return rep.hi[x] < rep.hi[y];
-    return rep.lo[x] < rep.lo[y];
-  });
-  std::vector<std::size_t> chosen;
-  int last_hi = -1;
-  for (std::size_t i : order) {
-    if (rep.lo[i] > last_hi) {
-      chosen.push_back(i);
-      last_hi = rep.hi[i];
-    }
-  }
+  std::vector<std::size_t> chosen(rep.vertices.size());
+  std::iota(chosen.begin(), chosen.end(), std::size_t{0});
+  chosen.resize(interval_mis(*model, chosen));
   std::sort(chosen.begin(), chosen.end());
   return chosen;
 }

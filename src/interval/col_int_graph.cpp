@@ -20,7 +20,8 @@ std::int64_t color_component(const PathIntervals& rep,
   const std::size_t n = comp.size();
   int w = omega(sub);
 
-  int diam = diameter(sub);
+  PathScratch scratch;
+  int diam = interval_diameter(sub, scratch);
   if (diam <= 10 * k) {
     // The whole component fits in one O(k) ball: color optimally.
     auto local = color_optimal(sub);

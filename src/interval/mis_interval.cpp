@@ -2,34 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
-#include "interval/offline.hpp"
 #include "interval/proper.hpp"
 #include "local/ruling_set.hpp"
 
 namespace chordal::interval {
 
 namespace {
-
-/// Greedy exact MIS over a subset of local indices of `rep`.
-std::vector<std::size_t> exact_mis_subset(const PathIntervals& rep,
-                                          std::vector<std::size_t> subset) {
-  std::sort(subset.begin(), subset.end(),
-            [&rep](std::size_t x, std::size_t y) {
-              if (rep.hi[x] != rep.hi[y]) return rep.hi[x] < rep.hi[y];
-              return rep.lo[x] < rep.lo[y];
-            });
-  std::vector<std::size_t> chosen;
-  int last_hi = -1;
-  for (std::size_t i : subset) {
-    if (rep.lo[i] > last_hi) {
-      chosen.push_back(i);
-      last_hi = rep.hi[i];
-    }
-  }
-  return chosen;
-}
 
 /// Processes one connected component of the domination-reduced model.
 /// `comp` holds local indices into `reduced`; results are indices into
@@ -39,12 +20,19 @@ std::int64_t mis_component(const PathIntervals& reduced,
                            std::vector<std::size_t>& out) {
   PathIntervals sub = restrict(reduced, comp);
   const std::size_t n = comp.size();
+  // Appends an exact MIS of sub restricted to `segment` to `out`, as
+  // indices into `reduced`.
+  auto solve_exactly = [&](std::vector<std::size_t>& segment) {
+    const std::size_t kept = interval_mis(sub, segment);
+    for (std::size_t j = 0; j < kept; ++j) out.push_back(comp[segment[j]]);
+  };
 
-  int diam = diameter(sub);
+  PathScratch scratch;
+  int diam = interval_diameter(sub, scratch);
   if (diam <= 10 * k) {
     std::vector<std::size_t> all(n);
-    for (std::size_t i = 0; i < n; ++i) all[i] = i;
-    for (std::size_t i : exact_mis_subset(sub, all)) out.push_back(comp[i]);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    solve_exactly(all);
     return diam + 1;
   }
 
@@ -86,9 +74,7 @@ std::int64_t mis_component(const PathIntervals& reduced,
          ++it) {
       if (sub.hi[*it] < right_cut) segment.push_back(*it);
     }
-    for (std::size_t i : exact_mis_subset(sub, segment)) {
-      out.push_back(comp[i]);
-    }
+    solve_exactly(segment);
   }
   // The stretch after the last anchor.
   {
@@ -98,9 +84,7 @@ std::int64_t mis_component(const PathIntervals& reduced,
         by_lo.begin(), by_lo.end(), cut + 1,
         [&sub](std::size_t w, int key) { return sub.lo[w] < key; });
     for (auto it = first; it != by_lo.end(); ++it) right_side.push_back(*it);
-    for (std::size_t i : exact_mis_subset(sub, right_side)) {
-      out.push_back(comp[i]);
-    }
+    solve_exactly(right_side);
   }
 
   return ruling.rounds + 3 * static_cast<std::int64_t>(k);

@@ -39,29 +39,6 @@ std::vector<int> color_optimal(const PathIntervals& rep) {
   return colors;
 }
 
-std::vector<std::size_t> mis_exact(const PathIntervals& rep) {
-  const std::size_t n = rep.vertices.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&rep](std::size_t x, std::size_t y) {
-    if (rep.hi[x] != rep.hi[y]) return rep.hi[x] < rep.hi[y];
-    return rep.lo[x] < rep.lo[y];
-  });
-  std::vector<std::size_t> chosen;
-  int last_hi = -1;
-  for (std::size_t i : order) {
-    if (rep.lo[i] > last_hi) {
-      chosen.push_back(i);
-      last_hi = rep.hi[i];
-    }
-  }
-  return chosen;
-}
-
-int alpha(const PathIntervals& rep) {
-  return static_cast<int>(mis_exact(rep).size());
-}
-
 bool is_proper(const PathIntervals& rep, const std::vector<int>& colors) {
   const std::size_t n = rep.vertices.size();
   if (colors.size() != n) return false;

@@ -1,7 +1,7 @@
-// Offline (centralized) exact algorithms on interval models: the optimal
-// baselines every experiment compares against. On interval graphs greedy
-// left-to-right coloring is chi-optimal and greedy earliest-deadline MIS is
-// alpha-optimal.
+// Offline (centralized) exact coloring on interval models: the optimal
+// baseline every coloring experiment compares against. On interval graphs
+// greedy left-to-right coloring is chi-optimal. (The alpha-optimal
+// earliest-deadline MIS is interval_mis in cliqueforest/paths.hpp.)
 #pragma once
 
 #include <vector>
@@ -14,13 +14,6 @@ namespace chordal::interval {
 /// Left-to-right greedy with smallest-free-color; uses exactly omega colors
 /// on a nonempty model.
 std::vector<int> color_optimal(const PathIntervals& rep);
-
-/// Exact maximum independent set: local indices into rep.vertices, chosen by
-/// the earliest-right-endpoint greedy sweep.
-std::vector<std::size_t> mis_exact(const PathIntervals& rep);
-
-/// alpha of the model (size of mis_exact).
-int alpha(const PathIntervals& rep);
 
 /// True iff `colors` (local-indexed) is a proper coloring of the model.
 bool is_proper(const PathIntervals& rep, const std::vector<int>& colors);

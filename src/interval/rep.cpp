@@ -5,8 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "local/ruling_set.hpp"
-
 namespace chordal::interval {
 
 PathIntervals from_geometry(const std::vector<double>& left,
@@ -171,30 +169,6 @@ int omega(const PathIntervals& rep) {
     active += delta;
     best = std::max(best, active);
   }
-  return best;
-}
-
-int diameter(const PathIntervals& rep) {
-  const std::size_t n = rep.vertices.size();
-  if (n <= 1) return 0;
-  std::size_t a = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (rep.hi[i] < rep.hi[a] ||
-        (rep.hi[i] == rep.hi[a] && rep.lo[i] < rep.lo[a])) {
-      a = i;
-    }
-  }
-  auto dist = chordal::local::interval_distances_from(rep, a);
-  std::size_t far = a;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (dist[i] == -1) {
-      throw std::invalid_argument("interval diameter: disconnected model");
-    }
-    if (dist[i] > dist[far]) far = i;
-  }
-  auto dist2 = chordal::local::interval_distances_from(rep, far);
-  int best = 0;
-  for (std::size_t i = 0; i < n; ++i) best = std::max(best, dist2[i]);
   return best;
 }
 

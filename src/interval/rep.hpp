@@ -51,7 +51,4 @@ std::vector<std::vector<std::size_t>> components(const PathIntervals& rep);
 /// Maximum number of pairwise overlapping intervals == omega == chi.
 int omega(const PathIntervals& rep);
 
-/// Exact diameter of a *connected* interval model.
-int diameter(const PathIntervals& rep);
-
 }  // namespace chordal::interval

@@ -2,61 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "local/cole_vishkin.hpp"
 #include "obs/span.hpp"
 
 namespace chordal::local {
-
-std::vector<int> interval_distances_from(const PathIntervals& rep,
-                                         std::size_t source, int max_level) {
-  const std::size_t n = rep.vertices.size();
-  std::vector<int> dist(n, -1);
-  dist[source] = 0;
-  // The distance-<=L set always spans a contiguous coordinate range, so BFS
-  // reduces to growing a span and absorbing, per level, the not-yet-seen
-  // intervals that touch it: a prefix of the lo-ascending order on the
-  // right and a prefix of the hi-descending order on the left. Each vertex
-  // is absorbed exactly once.
-  std::vector<std::size_t> by_lo(n), by_hi(n);
-  for (std::size_t i = 0; i < n; ++i) by_lo[i] = by_hi[i] = i;
-  std::sort(by_lo.begin(), by_lo.end(), [&rep](std::size_t x, std::size_t y) {
-    return rep.lo[x] < rep.lo[y];
-  });
-  std::sort(by_hi.begin(), by_hi.end(), [&rep](std::size_t x, std::size_t y) {
-    return rep.hi[x] > rep.hi[y];
-  });
-  std::size_t right = 0, left = 0;
-  int span_lo = rep.lo[source];
-  int span_hi = rep.hi[source];
-  for (int level = 1; max_level < 0 || level <= max_level; ++level) {
-    int new_lo = span_lo, new_hi = span_hi;
-    bool any = false;
-    while (right < n && rep.lo[by_lo[right]] <= span_hi) {
-      std::size_t v = by_lo[right++];
-      if (dist[v] == -1 && rep.hi[v] >= span_lo) {
-        dist[v] = level;
-        any = true;
-        new_lo = std::min(new_lo, rep.lo[v]);
-        new_hi = std::max(new_hi, rep.hi[v]);
-      }
-    }
-    while (left < n && rep.hi[by_hi[left]] >= span_lo) {
-      std::size_t v = by_hi[left++];
-      if (dist[v] == -1 && rep.lo[v] <= span_hi) {
-        dist[v] = level;
-        any = true;
-        new_lo = std::min(new_lo, rep.lo[v]);
-        new_hi = std::max(new_hi, rep.hi[v]);
-      }
-    }
-    if (!any) break;
-    span_lo = new_lo;
-    span_hi = new_hi;
-  }
-  return dist;
-}
 
 RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
   if (k < 1) throw std::invalid_argument("distance_k_mis_interval: k < 1");
@@ -131,6 +83,8 @@ RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
     max_len = std::max(max_len, rep.hi[i] - rep.lo[i] + 1);
   }
   std::vector<char> covered(n, 0);
+  PathScratch scratch;
+  std::vector<int> dist;
   std::size_t ptr = 0;
   for (;;) {
     while (ptr < n && covered[order[ptr]]) ++ptr;
@@ -160,7 +114,8 @@ RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
       window.lo.push_back(rep.lo[i]);
       window.hi.push_back(rep.hi[i]);
     }
-    auto dist = interval_distances_from(window, anchor_local, k);
+    interval_distances(window, std::span<const std::size_t>(&anchor_local, 1),
+                       k, scratch, dist);
     for (std::size_t i = 0; i < cand.size(); ++i) {
       if (dist[i] != -1 && dist[i] <= k) covered[cand[i]] = 1;
     }

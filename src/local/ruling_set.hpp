@@ -30,11 +30,4 @@ struct RulingSetResult {
 /// and every vertex is within distance K of some anchor.
 RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k);
 
-/// Exact single-source distances in the interval model, O(n log n) via a
-/// two-pointer span sweep; vertices beyond `max_level` (when >= 0) are left
-/// at -1 alongside unreachable ones. Exposed for reuse and testing.
-std::vector<int> interval_distances_from(const PathIntervals& rep,
-                                         std::size_t source,
-                                         int max_level = -1);
-
 }  // namespace chordal::local

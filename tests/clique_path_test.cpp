@@ -66,7 +66,9 @@ TEST(CliquePathFromGeometry, ModelAgreesWithEndpointRanks) {
     EXPECT_EQ(g1.edges(), g2.edges()) << "seed " << seed;
     // ... same omega and alpha, far fewer positions.
     EXPECT_EQ(interval::omega(compact.rep), interval::omega(ranks));
-    EXPECT_EQ(interval::alpha(compact.rep), interval::alpha(ranks));
+    PathScratch scratch;
+    EXPECT_EQ(interval_alpha(compact.rep, scratch),
+              interval_alpha(ranks, scratch));
     EXPECT_LE(compact.rep.num_positions, ranks.num_positions);
   }
 }

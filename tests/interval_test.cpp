@@ -61,7 +61,9 @@ TEST(IntervalRep, DiameterMatchesExact) {
       auto sub = interval::restrict(rep, comp);
       Graph g = interval::to_graph(sub);
       if (g.num_vertices() <= 1) continue;
-      EXPECT_EQ(interval::diameter(sub), diameter_exact(g)) << "seed " << seed;
+      PathScratch scratch;
+      EXPECT_EQ(interval_diameter(sub, scratch), diameter_exact(g))
+          << "seed " << seed;
     }
   }
 }
@@ -80,7 +82,8 @@ TEST(IntervalOffline, ExactMisMatchesBruteForce) {
   for (std::uint64_t seed : {2u, 5u, 8u}) {
     auto rep = rep_from_random(18, 12.0, 4.0, seed);
     Graph g = interval::to_graph(rep);
-    EXPECT_EQ(interval::alpha(rep), testing::brute_force_alpha(g));
+    PathScratch scratch;
+    EXPECT_EQ(interval_alpha(rep, scratch), testing::brute_force_alpha(g));
   }
 }
 
@@ -90,7 +93,8 @@ TEST(ProperReduction, KeepsAlphaAndRemovesDominated) {
     auto kept = interval::proper_reduction(rep);
     auto reduced = interval::restrict(rep, kept);
     // alpha unchanged (dominated vertices are never needed).
-    EXPECT_EQ(interval::alpha(reduced), interval::alpha(rep));
+    PathScratch scratch;
+    EXPECT_EQ(interval_alpha(reduced, scratch), interval_alpha(rep, scratch));
     // The reduced graph must be proper interval, i.e. claw-free (Roberts):
     // any claw's center strictly dominates the middle leaf's closed
     // neighborhood, so centers are always removed.
@@ -242,7 +246,8 @@ TEST_P(ColIntGraphSeeds, ApproxMisMeetsRatio) {
     }
     EXPECT_TRUE(testing::is_independent_set(g, chosen_vertices));
     // Ratio.
-    int opt = interval::alpha(rep);
+    PathScratch scratch;
+    int opt = interval_alpha(rep, scratch);
     EXPECT_GE(static_cast<double>(result.chosen.size()) * (1.0 + eps),
               static_cast<double>(opt))
         << "eps=" << eps;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <span>
 
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
@@ -278,6 +279,14 @@ TEST(ColeVishkin, RejectsMismatchedInput) {
                std::invalid_argument);
 }
 
+std::vector<int> distances_from(const PathIntervals& rep, std::size_t source) {
+  PathScratch scratch;
+  std::vector<int> dist;
+  interval_distances(rep, std::span<const std::size_t>(&source, 1), -1,
+                     scratch, dist);
+  return dist;
+}
+
 PathIntervals line_rep(int n) {
   // Unit-ish intervals [i, i+1]: a path-like proper interval graph.
   PathIntervals rep;
@@ -297,7 +306,7 @@ TEST(IntervalDistances, MatchGraphBfsOnRandomModels) {
     auto rep = interval::from_geometry(gen.left, gen.right);
     Graph g = interval::to_graph(rep);
     for (std::size_t s = 0; s < 50; s += 9) {
-      auto by_rep = local::interval_distances_from(rep, s);
+      auto by_rep = distances_from(rep, s);
       auto by_bfs = bfs_distances(g, static_cast<int>(s));
       for (int v = 0; v < 50; ++v) {
         EXPECT_EQ(by_rep[v], by_bfs[v]) << "seed " << seed << " src " << s;
@@ -314,7 +323,7 @@ TEST(RulingSet, DistanceKMisContract) {
     // Independence in G^k and maximality.
     std::vector<std::vector<int>> dists;
     for (std::size_t a : result.anchors) {
-      dists.push_back(local::interval_distances_from(rep, a));
+      dists.push_back(distances_from(rep, a));
     }
     for (std::size_t i = 0; i < result.anchors.size(); ++i) {
       for (std::size_t j = i + 1; j < result.anchors.size(); ++j) {
@@ -341,7 +350,7 @@ TEST(RulingSet, WorksOnRandomIntervalModels) {
       for (std::size_t v = 0; v < sub.vertices.size(); ++v) {
         int best = 1 << 30;
         for (std::size_t a : result.anchors) {
-          auto d = local::interval_distances_from(sub, a);
+          auto d = distances_from(sub, a);
           best = std::min(best, d[v]);
         }
         EXPECT_LE(best, 3);

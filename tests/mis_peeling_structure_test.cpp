@@ -43,16 +43,17 @@ TEST_P(MisPeelStructure, ThresholdsRespected) {
     for (const auto& lp : result.layers[idx]) {
       if (lp.path.pendant) continue;
       if (last) {
-        EXPECT_GE(path_independence(forest, lp.path), d)
+        EXPECT_GE(testing::path_alpha(forest, lp.path), d)
             << "seed " << seed << " layer " << idx + 1;
       } else {
-        EXPECT_GE(path_diameter(g, forest, lp.path), 2 * d + 3)
+        EXPECT_GE(testing::path_diameter(forest, lp.path), 2 * d + 3)
             << "seed " << seed << " layer " << idx + 1;
       }
     }
     // ... and every path NOT taken fails it (pendants are always taken, so
     // untaken ones must be internal below threshold).
-    const auto& active = result.active_at[idx];
+    const auto active =
+        testing::active_at(forest, result, static_cast<int>(idx) + 1);
     std::vector<char> taken_clique(
         static_cast<std::size_t>(forest.num_cliques()), 0);
     for (const auto& lp : result.layers[idx]) {
@@ -63,10 +64,10 @@ TEST_P(MisPeelStructure, ThresholdsRespected) {
       if (taken) continue;
       EXPECT_FALSE(path.pendant) << "seed " << seed << " layer " << idx + 1;
       if (last) {
-        EXPECT_LT(path_independence(forest, path), d)
+        EXPECT_LT(testing::path_alpha(forest, path), d)
             << "seed " << seed << " layer " << idx + 1;
       } else {
-        EXPECT_LT(path_diameter(g, forest, path), 2 * d + 3)
+        EXPECT_LT(testing::path_diameter(forest, path), 2 * d + 3)
             << "seed " << seed << " layer " << idx + 1;
       }
     }
@@ -99,8 +100,9 @@ TEST(MisPeelStructure, ColoringModeTakesAllPendantsEveryIteration) {
     for (const auto& lp : result.layers[idx]) {
       for (int c : lp.path.cliques) taken_clique[c] = 1;
     }
-    for (const auto& path :
-         maximal_binary_paths(forest, result.active_at[idx])) {
+    for (const auto& path : maximal_binary_paths(
+             forest,
+             testing::active_at(forest, result, static_cast<int>(idx) + 1))) {
       if (path.pendant) {
         EXPECT_TRUE(taken_clique[path.cliques.front()])
             << "layer " << idx + 1;

@@ -101,7 +101,9 @@ TEST(ForestPaths, IntervalModelMatchesInducedGraph) {
     std::vector<char> active(static_cast<std::size_t>(forest.num_cliques()),
                              1);
     for (const auto& p : maximal_binary_paths(forest, active)) {
-      PathIntervals rep = path_intervals(forest, p);
+      PathScratch scratch;
+      PathIntervals rep;
+      interval_model(forest.cliques(), p.cliques, scratch, rep);
       for (std::size_t i = 0; i < rep.vertices.size(); ++i) {
         for (std::size_t j = i + 1; j < rep.vertices.size(); ++j) {
           bool overlap = rep.lo[i] <= rep.hi[j] && rep.lo[j] <= rep.hi[i];
@@ -115,43 +117,59 @@ TEST(ForestPaths, IntervalModelMatchesInducedGraph) {
 }
 
 TEST(ForestPaths, DiameterMatchesExactBfs) {
-  for (std::uint64_t seed : {1u, 2u, 4u, 6u, 9u, 12u}) {
-    CliqueTreeConfig config;
-    config.num_bags = 40;
-    config.shape = TreeShape::kPath;  // one long path: big diameters
-    config.seed = seed;
-    auto gen = random_chordal_from_clique_tree(config);
-    CliqueForest forest = CliqueForest::build(gen.graph);
-    std::vector<char> active(static_cast<std::size_t>(forest.num_cliques()),
-                             1);
-    for (const auto& p : maximal_binary_paths(forest, active)) {
-      auto uni = path_union_vertices(forest, p);
-      Graph induced = gen.graph.induced_subgraph(uni);
-      EXPECT_EQ(path_diameter(gen.graph, forest, p), diameter_exact(induced))
-          << "seed " << seed;
+  // kPath gives one long path with big diameters; the other shapes give
+  // many short internal paths, where a BFS double sweep can run low.
+  for (TreeShape shape : {TreeShape::kPath, TreeShape::kRandom,
+                          TreeShape::kCaterpillar, TreeShape::kSpider}) {
+    for (std::uint64_t seed : {1u, 2u, 4u, 6u, 9u, 12u}) {
+      CliqueTreeConfig config;
+      config.num_bags = 40;
+      config.shape = shape;
+      config.seed = seed;
+      auto gen = random_chordal_from_clique_tree(config);
+      CliqueForest forest = CliqueForest::build(gen.graph);
+      for (const auto& p : maximal_binary_paths(forest, all_active(forest))) {
+        auto uni = path_union_vertices(forest, p);
+        Graph induced = gen.graph.induced_subgraph(uni);
+        EXPECT_EQ(testing::path_diameter(forest, p), diameter_exact(induced))
+            << "shape " << static_cast<int>(shape) << " seed " << seed;
+      }
     }
   }
 }
 
 TEST(ForestPaths, IndependenceMatchesBruteForce) {
-  for (std::uint64_t seed : {1u, 3u, 5u, 7u}) {
-    CliqueTreeConfig config;
-    config.num_bags = 12;
-    config.shape = TreeShape::kPath;
-    config.max_bag_size = 4;
-    config.seed = seed;
-    auto gen = random_chordal_from_clique_tree(config);
-    CliqueForest forest = CliqueForest::build(gen.graph);
-    std::vector<char> active(static_cast<std::size_t>(forest.num_cliques()),
-                             1);
-    for (const auto& p : maximal_binary_paths(forest, active)) {
-      auto uni = path_union_vertices(forest, p);
-      Graph induced = gen.graph.induced_subgraph(uni);
-      EXPECT_EQ(path_independence(forest, p),
-                testing::brute_force_alpha(induced))
-          << "seed " << seed;
+  for (TreeShape shape : {TreeShape::kPath, TreeShape::kRandom,
+                          TreeShape::kCaterpillar, TreeShape::kSpider}) {
+    for (std::uint64_t seed : {1u, 3u, 5u, 7u}) {
+      CliqueTreeConfig config;
+      config.num_bags = 12;
+      config.shape = shape;
+      config.max_bag_size = 4;
+      config.seed = seed;
+      auto gen = random_chordal_from_clique_tree(config);
+      CliqueForest forest = CliqueForest::build(gen.graph);
+      for (const auto& p : maximal_binary_paths(forest, all_active(forest))) {
+        auto uni = path_union_vertices(forest, p);
+        Graph induced = gen.graph.induced_subgraph(uni);
+        EXPECT_EQ(testing::path_alpha(forest, p),
+                  testing::brute_force_alpha(induced))
+            << "shape " << static_cast<int>(shape) << " seed " << seed;
+      }
     }
   }
+}
+
+TEST(ForestPaths, SingleCliquePathHasDiameterOne) {
+  // The first-ending and last-starting intervals coincide, so the closed
+  // form has no pair to measure; the model is one clique.
+  Graph g = complete_graph(4);
+  CliqueForest forest = CliqueForest::build(g);
+  auto paths = maximal_binary_paths(forest, all_active(forest));
+  ASSERT_EQ(paths.size(), 1u);
+  ASSERT_EQ(paths[0].cliques.size(), 1u);
+  EXPECT_EQ(testing::path_diameter(forest, paths[0]), 1);
+  EXPECT_EQ(testing::path_alpha(forest, paths[0]), 1);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // identical layers, identical colors, identical round accounting.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/local_decision.hpp"
 #include "core/mvc.hpp"
 #include "core/peeling.hpp"
@@ -49,6 +51,45 @@ TEST(PruningModes, LayerPartitionsMatchDirectly) {
     auto local = core::peel_with_local_decisions(gen.graph, forest, 2);
     EXPECT_EQ(global.layer_of, local.layer_of) << "seed " << seed;
     EXPECT_EQ(global.num_layers, local.num_layers) << "seed " << seed;
+  }
+}
+
+TEST(PruningModes, LayerPartitionsMatchOnChainHeavyShapes) {
+  // Many short internal paths: the shapes on which a BFS double sweep
+  // underestimates a visible chain's diameter.
+  auto expect_same_layers = [](const Graph& g, int k) {
+    CliqueForest forest = CliqueForest::build(g);
+    core::PeelConfig pc;
+    pc.mode = core::PeelMode::kColoring;
+    pc.k = k;
+    auto global = core::peel(g, forest, pc);
+    auto local = core::peel_with_local_decisions(g, forest, k);
+    EXPECT_EQ(global.layer_of, local.layer_of);
+    EXPECT_EQ(global.num_layers, local.num_layers);
+  };
+  for (int k : {2, 3}) {
+    for (TreeShape shape : {TreeShape::kCaterpillar, TreeShape::kSpider}) {
+      for (std::uint64_t seed : {1u, 2u, 3u}) {
+        CliqueTreeConfig config;
+        config.num_bags = 60;
+        config.shape = shape;
+        config.seed = seed;
+        SCOPED_TRACE("k " + std::to_string(k) + " shape " +
+                     std::to_string(static_cast<int>(shape)) + " seed " +
+                     std::to_string(seed));
+        expect_same_layers(random_chordal_from_clique_tree(config).graph, k);
+      }
+    }
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      RandomChordalConfig config;
+      config.n = 150;
+      config.max_clique = 4;
+      config.chain_bias = 0.9;
+      config.seed = seed;
+      SCOPED_TRACE("k " + std::to_string(k) + " random_chordal seed " +
+                   std::to_string(seed));
+      expect_same_layers(random_chordal(config), k);
+    }
   }
 }
 

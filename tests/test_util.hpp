@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cliqueforest/paths.hpp"
+#include "core/peeling.hpp"
 #include "graph/graph.hpp"
 
 namespace chordal::testing {
@@ -127,6 +129,32 @@ inline bool is_simplicial(const Graph& g, int v,
     }
   }
   return true;
+}
+
+/// Clique activity at the start of peel iteration `iter` (1-based): every
+/// clique not yet removed with a path of an earlier layer.
+inline std::vector<char> active_at(const CliqueForest& forest,
+                                   const core::PeelingResult& peeling,
+                                   int iter) {
+  std::vector<char> active(static_cast<std::size_t>(forest.num_cliques()), 1);
+  for (int layer = 1; layer < iter; ++layer) {
+    for (const auto& lp : peeling.layers[static_cast<std::size_t>(layer) - 1]) {
+      for (int c : lp.path.cliques) active[c] = 0;
+    }
+  }
+  return active;
+}
+
+/// diam(P) and alpha(P) of a forest path through its interval model.
+inline int path_diameter(const CliqueForest& forest, const ForestPath& path) {
+  PathScratch s;
+  interval_model(forest.cliques(), path.cliques, s, s.rep);
+  return interval_diameter(s.rep, s);
+}
+inline int path_alpha(const CliqueForest& forest, const ForestPath& path) {
+  PathScratch s;
+  interval_model(forest.cliques(), path.cliques, s, s.rep);
+  return interval_alpha(s.rep, s);
 }
 
 }  // namespace chordal::testing
