@@ -4,6 +4,8 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace chordal {
 
@@ -17,16 +19,44 @@ int active_degree(const CliqueForest& forest, const std::vector<char>& active,
   return deg;
 }
 
-/// The union of the cliques `order` of `family`, sorted ascending.
-void union_vertices(const CliqueFamily& family, std::span<const int> order,
-                    std::vector<int>& out) {
-  out.clear();
-  for (int c : order) {
-    CliqueWord word = family[static_cast<std::size_t>(c)];
-    out.insert(out.end(), word.begin(), word.end());
+/// Walks the clique sequence `order` once, merging each sorted word with
+/// the one before it: v in C_p but not C_{p-1} starts a run at p
+/// (on_start(v, p)), and v in C_{p-1} but not C_p ends one at p-1
+/// (on_end(v, p - 1)). Consecutive cliques of a clique-tree path hold each
+/// vertex in one contiguous run, so each vertex starts and ends once.
+template <typename OnStart, typename OnEnd>
+void walk_runs(const CliqueFamily& family, std::span<const int> order,
+               OnStart&& on_start, OnEnd&& on_end) {
+  const int k = static_cast<int>(order.size());
+  CliqueWord prev;
+  for (int p = 0; p <= k; ++p) {
+    const CliqueWord cur =
+        p < k ? family[static_cast<std::size_t>(order[p])] : CliqueWord{};
+    std::size_t i = 0, j = 0;
+    while (i < prev.size() && j < cur.size()) {
+      if (prev[i] < cur[j]) {
+        on_end(prev[i++], p - 1);
+      } else if (cur[j] < prev[i]) {
+        on_start(cur[j++], p);
+      } else {
+        ++i;
+        ++j;
+      }
+    }
+    for (; i < prev.size(); ++i) on_end(prev[i], p - 1);
+    for (; j < cur.size(); ++j) on_start(cur[j], p);
+    prev = cur;
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+/// A run boundary as one sortable word: vertex in the high half, position
+/// in the low half, so sorting orders by vertex, then position.
+std::uint64_t run_key(VertexId v, int p) {
+  return static_cast<std::uint64_t>(v) << 32 | static_cast<std::uint32_t>(p);
+}
+int key_vertex(std::uint64_t key) { return static_cast<int>(key >> 32); }
+int key_position(std::uint64_t key) {
+  return static_cast<int>(key & 0xffffffffu);
 }
 
 }  // namespace
@@ -46,49 +76,55 @@ std::vector<ForestPath> maximal_binary_paths(const CliqueForest& forest,
   }
   // Chains = connected components of the binary cliques; each is a path
   // because forest-degree is at most 2. Walk each chain from an endpoint.
-  auto binary_neighbors = [&](int c) {
-    std::vector<int> out;
+  auto binary_degree = [&](int c) {
+    int count = 0;
     for (CliqueId d : forest.forest_neighbors(c)) {
-      if (active[d] && binary[d]) out.push_back(static_cast<int>(d));
+      count += active[d] && binary[d] ? 1 : 0;
     }
-    return out;
+    return count;
+  };
+  // Attachments: the first two active non-binary neighbors of a chain end,
+  // -1 where there are fewer.
+  auto attachments = [&](int end) {
+    std::pair<int, int> found{-1, -1};
+    for (CliqueId d : forest.forest_neighbors(end)) {
+      if (!active[d] || binary[d]) continue;
+      if (found.first == -1) {
+        found.first = static_cast<int>(d);
+      } else if (found.second == -1) {
+        found.second = static_cast<int>(d);
+      }
+    }
+    return found;
   };
   std::vector<char> used(static_cast<std::size_t>(m), 0);
   std::vector<ForestPath> paths;
   for (int c = 0; c < m; ++c) {
     if (!active[c] || !binary[c] || used[c]) continue;
-    if (binary_neighbors(c).size() > 1) continue;  // interior; reach later
+    if (binary_degree(c) > 1) continue;  // interior; reach later
     ForestPath path;
     int prev = -1, cur = c;
     while (cur != -1) {
       used[cur] = 1;
       path.cliques.push_back(cur);
       int next = -1;
-      for (int d : binary_neighbors(cur)) {
-        if (d != prev) next = d;
+      for (CliqueId d : forest.forest_neighbors(cur)) {
+        if (active[d] && binary[d] && static_cast<int>(d) != prev) {
+          next = static_cast<int>(d);
+        }
       }
       prev = cur;
       cur = next;
     }
-    // Attachments: active non-binary neighbors of the chain endpoints. A
-    // single-clique chain can carry up to two distinct attachments; a longer
-    // chain's endpoint has at most one (its other slot is the chain itself).
-    auto attachments = [&](int end) {
-      std::vector<int> out;
-      for (CliqueId d : forest.forest_neighbors(end)) {
-        if (active[d] && !binary[d]) out.push_back(static_cast<int>(d));
-      }
-      return out;
-    };
+    // A single-clique chain can carry up to two distinct attachments; a
+    // longer chain's endpoint has at most one (its other slot is the chain
+    // itself).
     if (path.cliques.size() == 1) {
-      auto att = attachments(path.cliques.front());
-      if (!att.empty()) path.attach_right = att[0];
-      if (att.size() > 1) path.attach_left = att[1];
+      std::tie(path.attach_right, path.attach_left) =
+          attachments(path.cliques.front());
     } else {
-      auto left = attachments(path.cliques.front());
-      auto right = attachments(path.cliques.back());
-      if (!left.empty()) path.attach_left = left[0];
-      if (!right.empty()) path.attach_right = right[0];
+      path.attach_left = attachments(path.cliques.front()).first;
+      path.attach_right = attachments(path.cliques.back()).first;
     }
     path.pendant = path.attach_left == -1 || path.attach_right == -1;
     if (path.pendant && path.attach_left != -1) {
@@ -100,21 +136,29 @@ std::vector<ForestPath> maximal_binary_paths(const CliqueForest& forest,
   return paths;
 }
 
+void restrict(const PathIntervals& rep, std::span<const std::size_t> keep,
+              PathIntervals& out) {
+  out.num_positions = rep.num_positions;
+  out.vertices.resize(keep.size());
+  out.lo.resize(keep.size());
+  out.hi.resize(keep.size());
+  for (std::size_t j = 0; j < keep.size(); ++j) {
+    out.vertices[j] = rep.vertices[keep[j]];
+    out.lo[j] = rep.lo[keep[j]];
+    out.hi[j] = rep.hi[keep[j]];
+  }
+}
+
+PathIntervals restrict(const PathIntervals& rep,
+                       std::span<const std::size_t> keep) {
+  PathIntervals out;
+  restrict(rep, keep, out);
+  return out;
+}
+
 void PathScratch::ensure(const CliqueForest& forest) {
   auto m = static_cast<std::size_t>(forest.num_cliques());
   if (clique_stamp.size() < m) clique_stamp.resize(m, 0);
-}
-
-void path_union_vertices(const CliqueForest& forest, const ForestPath& path,
-                         std::vector<int>& out) {
-  union_vertices(forest.cliques(), path.cliques, out);
-}
-
-std::vector<int> path_union_vertices(const CliqueForest& forest,
-                                     const ForestPath& path) {
-  std::vector<int> out;
-  path_union_vertices(forest, path, out);
-  return out;
 }
 
 void path_owned_vertices(const CliqueForest& forest,
@@ -124,9 +168,17 @@ void path_owned_vertices(const CliqueForest& forest,
   scratch.ensure(forest);
   const std::uint64_t mark = ++scratch.epoch;
   for (int c : path.cliques) scratch.clique_stamp[c] = mark;
-  path_union_vertices(forest, path, scratch.verts);
+  auto& starts = scratch.starts;
+  starts.clear();
+  walk_runs(
+      forest.cliques(), path.cliques,
+      [&starts](VertexId v, int) { starts.push_back(run_key(v, 0)); },
+      [](VertexId, int) {});
+  std::sort(starts.begin(), starts.end());
   out.clear();
-  for (int v : scratch.verts) {
+  for (std::size_t r = 0; r < starts.size(); ++r) {
+    if (r > 0 && starts[r] == starts[r - 1]) continue;
+    const int v = key_vertex(starts[r]);
     bool all_inside = true;
     for (CliqueId c : forest.cliques_of(v)) {
       if (active_clique[c] && scratch.clique_stamp[c] != mark) {
@@ -150,26 +202,31 @@ std::vector<int> path_owned_vertices(const CliqueForest& forest,
 void interval_model(const CliqueFamily& family, std::span<const int> order,
                     PathScratch& scratch, PathIntervals& out) {
   out.num_positions = static_cast<int>(order.size());
-  union_vertices(family, order, out.vertices);
-  const std::size_t n = out.vertices.size();
-  out.lo.assign(n, 0);
-  out.hi.assign(n, -1);
-  if (n == 0) return;
-  auto& slot = scratch.slot;
-  if (slot.size() <= static_cast<std::size_t>(out.vertices.back())) {
-    slot.resize(static_cast<std::size_t>(out.vertices.back()) + 1);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    slot[out.vertices[i]] = static_cast<int>(i);
-  }
-  // Positions ascend, so a vertex's first sighting is its lo and its last
-  // its hi.
-  for (int p = 0; p < out.num_positions; ++p) {
-    for (VertexId v : family[static_cast<std::size_t>(order[p])]) {
-      const int i = slot[v];
-      if (out.hi[i] == -1) out.lo[i] = p;
-      out.hi[i] = p;
+  auto& starts = scratch.starts;
+  auto& ends = scratch.ends;
+  starts.clear();
+  ends.clear();
+  walk_runs(
+      family, order,
+      [&starts](VertexId v, int p) { starts.push_back(run_key(v, p)); },
+      [&ends](VertexId v, int p) { ends.push_back(run_key(v, p)); });
+  std::sort(starts.begin(), starts.end());
+  std::sort(ends.begin(), ends.end());
+  // The r-th start and the r-th end bound the same run. A vertex whose
+  // cliques are not contiguous in `order` has several runs; its interval
+  // is their hull.
+  out.vertices.clear();
+  out.lo.clear();
+  out.hi.clear();
+  for (std::size_t r = 0; r < starts.size(); ++r) {
+    const int v = key_vertex(starts[r]);
+    if (!out.vertices.empty() && out.vertices.back() == v) {
+      out.hi.back() = key_position(ends[r]);
+      continue;
     }
+    out.vertices.push_back(v);
+    out.lo.push_back(key_position(starts[r]));
+    out.hi.push_back(key_position(ends[r]));
   }
 }
 

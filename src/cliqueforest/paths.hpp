@@ -47,10 +47,6 @@ std::vector<int> path_owned_vertices(const CliqueForest& forest,
                                      const std::vector<char>& active_clique,
                                      const ForestPath& path);
 
-/// All vertices in the union of the path's cliques (the V_P of Lemma 7).
-std::vector<int> path_union_vertices(const CliqueForest& forest,
-                                     const ForestPath& path);
-
 /// Interval model: each vertex carries the contiguous range [lo, hi] of
 /// positions it occupies, and two vertices are adjacent iff their ranges
 /// intersect. Positions are 0..num_positions-1.
@@ -59,6 +55,14 @@ struct PathIntervals {
   std::vector<int> lo, hi;    // position ranges, parallel to `vertices`
   int num_positions = 0;
 };
+
+/// Restriction of `rep` to a subset of local indices (e.g. one connected
+/// component); preserves global vertex ids and positions. The first form
+/// reuses `out`'s buffers.
+void restrict(const PathIntervals& rep, std::span<const std::size_t> keep,
+              PathIntervals& out);
+PathIntervals restrict(const PathIntervals& rep,
+                       std::span<const std::size_t> keep);
 
 /// Reusable scratch for the functions below. Marking a path touches only
 /// path-sized state, never the whole forest or graph. One scratch per
@@ -71,8 +75,7 @@ class PathScratch {
   // Internal state (used by the paths.cpp implementations).
   std::uint64_t epoch = 0;
   std::vector<std::uint64_t> clique_stamp;  // per clique, epoch of last mark
-  std::vector<int> slot;                    // vertex id -> model index
-  std::vector<int> verts;                   // union-vertex buffer
+  std::vector<std::uint64_t> starts, ends;  // run boundaries, (v << 32 | p)
   std::vector<std::size_t> order;           // interval_alpha members
   std::vector<int> reach_left, reach_right;  // interval_distances far tables
   std::vector<int> span_lo, span_hi;          // its span per level
@@ -80,9 +83,6 @@ class PathScratch {
   PathIntervals rep;                        // reused interval model
 };
 
-/// Workspace form of path_union_vertices; `out` is cleared and reused.
-void path_union_vertices(const CliqueForest& forest, const ForestPath& path,
-                         std::vector<int>& out);
 /// Workspace form of path_owned_vertices; `out` is cleared and reused.
 void path_owned_vertices(const CliqueForest& forest,
                          const std::vector<char>& active_clique,
@@ -94,7 +94,10 @@ void path_owned_vertices(const CliqueForest& forest,
 /// ascending id order, each with the first and last position whose clique
 /// contains it. For a forest path this is the model of G[V_P] (Lemma 7);
 /// the local views build their visible chain's model the same way.
-/// O(sum of clique sizes) plus the sort of the union.
+/// One merge walk over consecutive sorted words finds where each vertex's
+/// run of cliques starts and ends: O(sum of clique sizes) plus two sorts
+/// of |V_P| keys. Allocation-free once the scratch has seen a path as
+/// large.
 void interval_model(const CliqueFamily& family, std::span<const int> order,
                     PathScratch& scratch, PathIntervals& out);
 

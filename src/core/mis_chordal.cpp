@@ -138,8 +138,9 @@ MisResult mis_chordal(const Graph& g, const MisOptions& options) {
       if (eligible.empty()) return;
       PathIntervals model = interval::restrict(full, eligible);
 
-      for (const auto& comp : interval::components(model)) {
-        PathIntervals sub = interval::restrict(model, comp);
+      const interval::Components comps = interval::components(model);
+      for (std::size_t c = 0; c < comps.size(); ++c) {
+        PathIntervals sub = interval::restrict(model, comps[c]);
         // Each component member learns the component's interval model (two
         // words per interval) before the local solve; under CONGEST that
         // broadcast costs ceil(words / B) rounds on top of the solve.

@@ -148,19 +148,45 @@ struct Engine {
     }
   }
 
-  /// Per-worker accumulators for the parallel phases. Owned vertex sets of
-  /// distinct (layer, path) units are disjoint, so colors/clock/congestion
-  /// writes race-free by construction; everything else accumulates here and
-  /// merges in worker order after the region (all integer sums/maxima, so
-  /// the merged totals are independent of the thread count).
+  /// Per-worker accumulators and buffers for the parallel phases. Owned
+  /// vertex sets of distinct (layer, path) units are disjoint, so
+  /// colors/clock/congestion writes race-free by construction; everything
+  /// else accumulates here and merges in worker order after the region (all
+  /// integer sums/maxima, so the merged totals are independent of the
+  /// thread count).
   struct WorkerTally {
     PathScratch scratch;
-    PathIntervals full;
+    PathIntervals full, mine;
+    std::vector<char> is_owned;
+    std::vector<std::size_t> owned_idx, boundary, window;
+    std::vector<int> owned_reach;
+    interval::ColIntScratch colint;
+    PathIntervals win;        // the correction window
+    std::vector<char> free;   // per window member
+    interval::WindowScratch solver;
+    std::vector<int> fixed, solved, counts;
     std::int64_t palette_violations = 0;
     std::int64_t recolored = 0;
     std::int64_t msg_count = 0;
     std::int64_t msg_words = 0;
   };
+
+  /// Builds the path's interval model into t.full and marks its owned
+  /// vertices (t.is_owned, and their indices in t.owned_idx).
+  void model_path(const LayerPath& lp, WorkerTally& t) const {
+    interval_model(forest.cliques(), lp.path.cliques, t.scratch, t.full);
+    // Both lists ascend: one merge marks the owned model vertices.
+    const std::size_t n = t.full.vertices.size();
+    t.is_owned.assign(n, 0);
+    t.owned_idx.clear();
+    for (std::size_t i = 0, j = 0; i < n && j < lp.owned.size(); ++i) {
+      while (j < lp.owned.size() && lp.owned[j] < t.full.vertices[i]) ++j;
+      if (j < lp.owned.size() && lp.owned[j] == t.full.vertices[i]) {
+        t.is_owned[i] = 1;
+        t.owned_idx.push_back(i);
+      }
+    }
+  }
 
   /// Phase 2: every layer is an interval graph (one clique path per peeled
   /// path, Lemma 7); color each path's owned set independently - distinct
@@ -189,16 +215,10 @@ struct Engine {
           const int unit_layer = units[idx].second;
           obs::TraceBuf* tb =
               tracer != nullptr ? &tracer->worker(worker) : nullptr;
-          interval_model(forest.cliques(), lp.path.cliques, t.scratch, t.full);
+          model_path(lp, t);
           const PathIntervals& full = t.full;
-          std::vector<std::size_t> owned_idx;
-          for (std::size_t i = 0; i < full.vertices.size(); ++i) {
-            if (std::binary_search(lp.owned.begin(), lp.owned.end(),
-                                   full.vertices[i])) {
-              owned_idx.push_back(i);
-            }
-          }
-          PathIntervals mine = interval::restrict(full, owned_idx);
+          interval::restrict(full, t.owned_idx, t.mine);
+          const PathIntervals& mine = t.mine;
           // Each owned vertex first learns its path's full interval model
           // (two words per interval); under CONGEST that multi-word message
           // takes ceil(words / B) rounds instead of piggybacking on the
@@ -208,7 +228,7 @@ struct Engine {
           std::int64_t spent = xfer(model_words);
           std::vector<int> colors;
           if (options.layer_coloring == LayerColoringMode::kColIntGraph) {
-            auto res = interval::col_int_graph(mine, result.k);
+            auto res = interval::col_int_graph(mine, result.k, t.colint);
             colors = std::move(res.colors);
             t.palette_violations += res.palette_violations;
             spent += res.rounds;
@@ -277,22 +297,17 @@ struct Engine {
 
   void correct_path(const LayerPath& lp, int layer, obs::TraceBuf* tb,
                     WorkerTally& t) {
-    interval_model(forest.cliques(), lp.path.cliques, t.scratch, t.full);
+    if (lp.owned.empty()) return;
+    model_path(lp, t);
     const PathIntervals& full = t.full;
     const std::size_t n = full.vertices.size();
-    std::vector<char> is_owned(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      is_owned[i] = std::binary_search(lp.owned.begin(), lp.owned.end(),
-                                       full.vertices[i])
-                        ? 1
-                        : 0;
-    }
+    const std::vector<char>& is_owned = t.is_owned;
     // W' = non-owned union vertices adjacent to an owned one. By Lemma 8
     // they live in the end cliques of the path, so their clipped intervals
     // capture all relevant adjacencies. Overlap-with-owned is tested via a
     // prefix-max table over the owned intervals.
-    std::vector<int> owned_reach(static_cast<std::size_t>(full.num_positions),
-                                 -1);
+    std::vector<int>& owned_reach = t.owned_reach;
+    owned_reach.assign(static_cast<std::size_t>(full.num_positions), -1);
     for (std::size_t j = 0; j < n; ++j) {
       if (is_owned[j]) {
         owned_reach[full.lo[j]] = std::max(owned_reach[full.lo[j]],
@@ -302,7 +317,8 @@ struct Engine {
     for (int p = 1; p < full.num_positions; ++p) {
       owned_reach[p] = std::max(owned_reach[p], owned_reach[p - 1]);
     }
-    std::vector<std::size_t> boundary;
+    std::vector<std::size_t>& boundary = t.boundary;
+    boundary.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (is_owned[i]) continue;
       if (owned_reach[full.hi[i]] >= full.lo[i]) boundary.push_back(i);
@@ -315,56 +331,57 @@ struct Engine {
     std::vector<int>& dist = t.scratch.dist;
     interval_distances(full, boundary, result.k + 5, t.scratch, dist);
     // Window: everything within k+4 of W'; free = owned within k+3.
-    std::vector<std::size_t> window;
+    std::vector<std::size_t>& window = t.window;
+    window.clear();
+    t.free.clear();
+    bool any_free = false;
     for (std::size_t i = 0; i < n; ++i) {
-      if (dist[i] != -1 && dist[i] <= result.k + 4) window.push_back(i);
+      if (dist[i] != -1 && dist[i] <= result.k + 4) {
+        window.push_back(i);
+        t.free.push_back(is_owned[i] && dist[i] <= result.k + 3 ? 1 : 0);
+        any_free = any_free || t.free.back();
+      }
     }
-    interval::RecolorProblem problem;
-    problem.rep = interval::restrict(full, window);
-    problem.fixed.assign(window.size(), -1);
+    if (!any_free) return;
+    interval::restrict(full, window, t.win);
+    const PathIntervals& win = t.win;
+    const std::size_t size = win.vertices.size();
+    std::vector<int>& fixed = t.fixed;
+    fixed.assign(size, -1);
     int max_fixed = -1;
-    std::vector<std::size_t> free_local;
-    for (std::size_t w = 0; w < window.size(); ++w) {
-      std::size_t i = window[w];
-      bool free = is_owned[i] && dist[i] <= result.k + 3;
-      if (free) {
-        free_local.push_back(w);
-      } else {
-        problem.fixed[w] = result.colors[full.vertices[i]];
-        max_fixed = std::max(max_fixed, problem.fixed[w]);
+    for (std::size_t w = 0; w < size; ++w) {
+      if (!t.free[w]) {
+        fixed[w] = result.colors[win.vertices[w]];
+        max_fixed = std::max(max_fixed, fixed[w]);
       }
     }
-    if (free_local.empty()) return;
-    int w_win = interval::omega(problem.rep);
-    problem.palette =
-        std::max(w_win + w_win / result.k + 1, max_fixed + 1);
-    std::vector<int> solved;
-    for (;;) {
-      auto attempt = interval::extend_coloring(problem);
-      if (attempt.has_value()) {
-        solved = std::move(*attempt);
-        break;
-      }
-      ++problem.palette;  // Lemma 10 says unreachable; tracked tripwire.
+    int w_win = interval::omega(win, t.counts);
+    int palette = std::max(w_win + w_win / result.k + 1, max_fixed + 1);
+    while (!interval::extend_coloring(win, fixed, palette, t.solver,
+                                      t.solved)) {
+      ++palette;  // Lemma 10 says unreachable; tracked tripwire.
       ++t.palette_violations;
-      if (problem.palette > 3 * result.omega + 3) {
+      if (palette > 3 * result.omega + 3) {
         throw std::logic_error("mvc: correction window unsolvable");
       }
     }
+    const std::vector<int>& solved = t.solved;
     // Timing: the path's parents act once W' and the untouched interior are
     // final; recoloring is a local O(k) exchange (Algorithm 4). Under
     // CONGEST, shipping the window state (three words per member) costs
     // ceil(words / B) extra rounds on top of the O(k) exchange.
     std::int64_t ready = 0;
-    for (std::size_t w = 0; w < window.size(); ++w) {
-      ready = std::max(ready, clock[full.vertices[window[w]]]);
+    for (std::size_t w = 0; w < size; ++w) {
+      ready = std::max(ready, clock[win.vertices[w]]);
     }
-    std::int64_t done =
-        ready + result.k + 7 +
-        xfer(local::correction_window_words(
-            static_cast<std::int64_t>(window.size())));
-    for (std::size_t w : free_local) {
-      int v = full.vertices[window[w]];
+    const std::int64_t window_words =
+        local::correction_window_words(static_cast<std::int64_t>(size));
+    std::int64_t done = ready + result.k + 7 + xfer(window_words);
+    std::int64_t free_count = 0;
+    for (std::size_t w = 0; w < size; ++w) {
+      if (!t.free[w]) continue;
+      ++free_count;
+      int v = win.vertices[w];
       if (result.colors[v] != solved[w]) {
         ++t.recolored;
         obs::trace_emit(tb, obs::TraceEventKind::kRecolor, v, layer,
@@ -372,18 +389,13 @@ struct Engine {
       }
       result.colors[v] = solved[w];
       clock[v] = std::max(clock[v], done);
+      // Every free vertex sees the whole recoloring window (interval +
+      // fixed color per member) during the O(k) exchange.
+      if (telemetry) congestion[v] += window_words;
     }
     if (telemetry) {
-      // Every free vertex sees the whole recoloring window (interval + fixed
-      // color per member) during the O(k) exchange.
-      auto window_words = local::correction_window_words(
-          static_cast<std::int64_t>(window.size()));
-      for (std::size_t w : free_local) {
-        congestion[full.vertices[window[w]]] += window_words;
-      }
-      t.msg_count += static_cast<std::int64_t>(free_local.size());
-      t.msg_words +=
-          static_cast<std::int64_t>(free_local.size()) * window_words;
+      t.msg_count += free_count;
+      t.msg_words += free_count * window_words;
     }
   }
 

@@ -18,6 +18,8 @@
 #include <vector>
 
 #include "interval/rep.hpp"
+#include "interval/window_recolor.hpp"
+#include "local/ruling_set.hpp"
 
 namespace chordal::interval {
 
@@ -32,8 +34,27 @@ struct DistColoringResult {
   int palette_violations = 0;
 };
 
+/// Reusable buffers for col_int_graph: one per worker thread, so a loop
+/// over many models copies each component and window into warm buffers.
+struct ColIntScratch {
+  // Internal state (used by col_int_graph.cpp).
+  Components comps;
+  PathIntervals sub;                  // the component being colored
+  PathScratch paths;                  // its diameter
+  local::RulingScratch ruling;        // its anchors
+  std::vector<int> counts;            // omega, color counting
+  std::vector<int> cuts, slot, local_colors;
+  std::vector<std::size_t> slot_off, slot_members;  // vertices by slot
+  std::vector<std::size_t> window;    // one gap's window, local indices
+  PathIntervals window_rep;
+  std::vector<int> fixed, solved;
+  WindowScratch solver;
+};
+
 /// Colors the interval model with at most floor((1+1/k) * chi) + 1 colors.
-/// Requires k >= 2.
+/// Requires k >= 2. The first form reuses `scratch`.
+DistColoringResult col_int_graph(const PathIntervals& rep, int k,
+                                 ColIntScratch& scratch);
 DistColoringResult col_int_graph(const PathIntervals& rep, int k);
 
 }  // namespace chordal::interval

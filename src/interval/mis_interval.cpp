@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "interval/proper.hpp"
@@ -16,7 +17,7 @@ namespace {
 /// `comp` holds local indices into `reduced`; results are indices into
 /// `reduced` as well.
 std::int64_t mis_component(const PathIntervals& reduced,
-                           const std::vector<std::size_t>& comp, int k,
+                           std::span<const std::size_t> comp, int k,
                            std::vector<std::size_t>& out) {
   PathIntervals sub = restrict(reduced, comp);
   const std::size_t n = comp.size();
@@ -106,9 +107,10 @@ IntervalMisResult approx_mis_interval(const PathIntervals& rep, double eps) {
 
   std::vector<std::size_t> chosen_reduced;
   std::int64_t rounds = 2;
-  for (const auto& comp : components(reduced)) {
-    rounds = std::max(
-        rounds, 2 + mis_component(reduced, comp, result.k, chosen_reduced));
+  const Components comps = components(reduced);
+  for (std::size_t c = 0; c < comps.size(); ++c) {
+    rounds = std::max(rounds, 2 + mis_component(reduced, comps[c], result.k,
+                                                chosen_reduced));
   }
   result.rounds = rounds;
   for (std::size_t i : chosen_reduced) result.chosen.push_back(kept[i]);

@@ -123,53 +123,62 @@ Graph to_graph(const PathIntervals& rep) {
   return b.build();
 }
 
-PathIntervals restrict(const PathIntervals& rep,
-                       const std::vector<std::size_t>& keep) {
-  PathIntervals out;
-  out.num_positions = rep.num_positions;
-  for (std::size_t i : keep) {
-    out.vertices.push_back(rep.vertices[i]);
-    out.lo.push_back(rep.lo[i]);
-    out.hi.push_back(rep.hi[i]);
+void components(const PathIntervals& rep, Components& out) {
+  const std::size_t n = rep.vertices.size();
+  auto& members = out.members;
+  members.resize(n);
+  std::iota(members.begin(), members.end(), std::size_t{0});
+  std::sort(members.begin(), members.end(),
+            [&rep](std::size_t x, std::size_t y) {
+              return rep.lo[x] < rep.lo[y];
+            });
+  out.offsets.clear();
+  int reach = -1;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t i = members[j];
+    if (j == 0 || rep.lo[i] > reach) out.offsets.push_back(j);
+    reach = std::max(reach, rep.hi[i]);
   }
+  out.offsets.push_back(n);
+  for (std::size_t c = 0; c + 1 < out.offsets.size(); ++c) {
+    const auto first = static_cast<std::ptrdiff_t>(out.offsets[c]);
+    const auto last = static_cast<std::ptrdiff_t>(out.offsets[c + 1]);
+    std::sort(members.begin() + first, members.begin() + last);
+  }
+}
+
+Components components(const PathIntervals& rep) {
+  Components out;
+  components(rep, out);
   return out;
 }
 
-std::vector<std::vector<std::size_t>> components(const PathIntervals& rep) {
+int omega(const PathIntervals& rep, std::vector<int>& counts) {
   const std::size_t n = rep.vertices.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&rep](std::size_t x, std::size_t y) {
-    return rep.lo[x] < rep.lo[y];
-  });
-  std::vector<std::vector<std::size_t>> comps;
-  int reach = -1;
-  for (std::size_t i : order) {
-    if (comps.empty() || rep.lo[i] > reach) {
-      comps.emplace_back();
-    }
-    comps.back().push_back(i);
-    reach = std::max(reach, rep.hi[i]);
+  if (n == 0) return 0;
+  int first = rep.lo[0], last = rep.hi[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    first = std::min(first, rep.lo[i]);
+    last = std::max(last, rep.hi[i]);
   }
-  for (auto& comp : comps) std::sort(comp.begin(), comp.end());
-  return comps;
-}
-
-int omega(const PathIntervals& rep) {
-  // Sweep counting active intervals; +1 events at lo, -1 after hi.
-  std::vector<std::pair<int, int>> events;
-  events.reserve(2 * rep.vertices.size());
-  for (std::size_t i = 0; i < rep.vertices.size(); ++i) {
-    events.emplace_back(rep.lo[i], +1);
-    events.emplace_back(rep.hi[i] + 1, -1);
+  // Difference array over the occupied positions: +1 at lo, -1 after hi;
+  // its running sum is the number of intervals covering each position.
+  counts.assign(static_cast<std::size_t>(last - first) + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    ++counts[static_cast<std::size_t>(rep.lo[i] - first)];
+    --counts[static_cast<std::size_t>(rep.hi[i] - first) + 1];
   }
-  std::sort(events.begin(), events.end());
   int active = 0, best = 0;
-  for (auto [pos, delta] : events) {
+  for (int delta : counts) {
     active += delta;
     best = std::max(best, active);
   }
   return best;
+}
+
+int omega(const PathIntervals& rep) {
+  std::vector<int> counts;
+  return omega(rep, counts);
 }
 
 }  // namespace chordal::interval

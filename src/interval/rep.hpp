@@ -7,6 +7,7 @@
 // (benches E4/E7) get theirs from generator geometry via the helpers here.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cliqueforest/paths.hpp"
@@ -15,6 +16,7 @@
 namespace chordal::interval {
 
 using PathIntervals = chordal::PathIntervals;
+using chordal::restrict;  // sub-models, with the model in paths.hpp
 
 /// Converts geometric intervals (distinct endpoints almost surely) to the
 /// integer model by endpoint rank. Vertex ids are 0..n-1.
@@ -39,16 +41,31 @@ CliquePath clique_path_from_geometry(const std::vector<double>& left,
 /// local indices 0..rep.vertices.size()-1.
 Graph to_graph(const PathIntervals& rep);
 
-/// Restriction of `rep` to a subset of local indices (e.g. one connected
-/// component); preserves global vertex ids and positions.
-PathIntervals restrict(const PathIntervals& rep,
-                       const std::vector<std::size_t>& keep);
+/// Connected components of an interval model, flat: component c is the
+/// ascending local indices members[offsets[c] .. offsets[c + 1]), and the
+/// components come in left-to-right order.
+struct Components {
+  std::vector<std::size_t> members;
+  std::vector<std::size_t> offsets;  // size() + 1 entries
 
-/// Connected components of the interval model, each a sorted list of local
-/// indices. Linear sweep over positions.
-std::vector<std::vector<std::size_t>> components(const PathIntervals& rep);
+  std::size_t size() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+  std::span<const std::size_t> operator[](std::size_t c) const {
+    return {members.data() + offsets[c], offsets[c + 1] - offsets[c]};
+  }
+};
 
-/// Maximum number of pairwise overlapping intervals == omega == chi.
+/// Connected components by one sweep in lo order. The first form reuses
+/// `out`'s buffers.
+void components(const PathIntervals& rep, Components& out);
+Components components(const PathIntervals& rep);
+
+/// Maximum number of pairwise overlapping intervals == omega == chi, by a
+/// difference array over the occupied positions [min lo, max hi]; no sort.
+/// The first form reuses `counts` and allocates nothing once it is as
+/// large as the occupied range.
+int omega(const PathIntervals& rep, std::vector<int>& counts);
 int omega(const PathIntervals& rep);
 
 }  // namespace chordal::interval

@@ -10,7 +10,8 @@
 
 namespace chordal::local {
 
-RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
+RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k,
+                                        RulingScratch& scratch) {
   if (k < 1) throw std::invalid_argument("distance_k_mis_interval: k < 1");
   const std::size_t n = rep.vertices.size();
   RulingSetResult result;
@@ -22,10 +23,12 @@ RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
   // --- Symmetry breaking (measured rounds): Cole-Vishkin on the
   // rightmost-neighbor pseudoforest. succ(v) = the neighbor maximizing
   // (hi, id); following succ strictly increases (hi, id), so it is acyclic.
-  std::vector<int> parent(n, -1);
+  std::vector<int>& parent = scratch.parent;
+  parent.assign(n, -1);
   {
     // best vertex (by (hi, id)) among intervals with lo <= p, per position.
-    std::vector<int> best_at(static_cast<std::size_t>(rep.num_positions), -1);
+    std::vector<int>& best_at = scratch.best_at;
+    best_at.assign(static_cast<std::size_t>(rep.num_positions), -1);
     auto better = [&](int x, int y) {  // is x better than y
       if (x == -1) return false;  // "no vertex" never wins (positions before
                                   // the first interval leave -1 slots)
@@ -47,7 +50,8 @@ RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
       if (b != static_cast<int>(v)) parent[v] = b;
     }
   }
-  std::vector<std::int64_t> ids(n);
+  std::vector<std::int64_t>& ids = scratch.ids;
+  ids.resize(n);
   for (std::size_t v = 0; v < n; ++v) ids[v] = rep.vertices[v];
   CvResult cv = cole_vishkin_pseudoforest(ids, parent);
   // Each Cole-Vishkin iteration is simulated on G^k (k rounds per hop) and
@@ -66,13 +70,15 @@ RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
   // forever, and each anchor's BFS is capped at k levels and restricted to
   // a coordinate window that k hops cannot escape, so the selection runs in
   // near-linear total time.
-  std::vector<std::size_t> order(n);
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&rep](std::size_t x, std::size_t y) {
     if (rep.hi[x] != rep.hi[y]) return rep.hi[x] < rep.hi[y];
     return rep.vertices[x] < rep.vertices[y];
   });
-  std::vector<std::size_t> by_lo(n);
+  std::vector<std::size_t>& by_lo = scratch.by_lo;
+  by_lo.resize(n);
   for (std::size_t i = 0; i < n; ++i) by_lo[i] = i;
   std::sort(by_lo.begin(), by_lo.end(),
             [&rep](std::size_t x, std::size_t y) {
@@ -82,9 +88,11 @@ RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
   for (std::size_t i = 0; i < n; ++i) {
     max_len = std::max(max_len, rep.hi[i] - rep.lo[i] + 1);
   }
-  std::vector<char> covered(n, 0);
-  PathScratch scratch;
-  std::vector<int> dist;
+  std::vector<char>& covered = scratch.covered;
+  covered.assign(n, 0);
+  std::vector<std::size_t>& cand = scratch.cand;
+  PathIntervals& window = scratch.window;
+  std::vector<int>& dist = scratch.paths.dist;
   std::size_t ptr = 0;
   for (;;) {
     while (ptr < n && covered[order[ptr]]) ++ptr;
@@ -96,7 +104,7 @@ RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
     int win_lo = static_cast<int>(
         std::max<long long>(0, rep.lo[next] - reach));
     int win_hi = static_cast<int>(rep.hi[next] + reach);
-    std::vector<std::size_t> cand;
+    cand.clear();
     auto first = std::lower_bound(
         by_lo.begin(), by_lo.end(), win_lo,
         [&rep](std::size_t v, int key) { return rep.lo[v] < key; });
@@ -107,21 +115,20 @@ RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
         cand.push_back(*it);
       }
     }
-    PathIntervals window;
-    window.num_positions = rep.num_positions;
-    for (std::size_t i : cand) {
-      window.vertices.push_back(rep.vertices[i]);
-      window.lo.push_back(rep.lo[i]);
-      window.hi.push_back(rep.hi[i]);
-    }
+    restrict(rep, cand, window);
     interval_distances(window, std::span<const std::size_t>(&anchor_local, 1),
-                       k, scratch, dist);
+                       k, scratch.paths, dist);
     for (std::size_t i = 0; i < cand.size(); ++i) {
       if (dist[i] != -1 && dist[i] <= k) covered[cand[i]] = 1;
     }
   }
   span.note("anchors", static_cast<double>(result.anchors.size()));
   return result;
+}
+
+RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k) {
+  RulingScratch scratch;
+  return distance_k_mis_interval(rep, k, scratch);
 }
 
 }  // namespace chordal::local

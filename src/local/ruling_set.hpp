@@ -25,9 +25,23 @@ struct RulingSetResult {
   std::int64_t rounds = 0;
 };
 
+/// Reusable buffers for distance_k_mis_interval; one per worker thread.
+struct RulingScratch {
+  // Internal state (used by ruling_set.cpp).
+  std::vector<int> parent, best_at;
+  std::vector<std::int64_t> ids;
+  std::vector<std::size_t> order, by_lo, cand;
+  std::vector<char> covered;
+  PathIntervals window;  // one anchor's candidate window
+  PathScratch paths;     // its distances
+};
+
 /// Maximal distance-K independent set of a *connected* interval graph given
 /// by clique-path positions. K >= 1. Anchors are pairwise at distance > K
-/// and every vertex is within distance K of some anchor.
+/// and every vertex is within distance K of some anchor. The first form
+/// reuses `scratch`.
+RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k,
+                                        RulingScratch& scratch);
 RulingSetResult distance_k_mis_interval(const PathIntervals& rep, int k);
 
 }  // namespace chordal::local

@@ -52,8 +52,9 @@ TEST(IntervalQueries, MatchGraphOraclesOnRandomConnectedModels) {
   int checked = 0;
   for (int trial = 0; trial < 600; ++trial) {
     PathIntervals whole = random_model(rng);
-    for (const auto& comp : interval::components(whole)) {
-      PathIntervals rep = interval::restrict(whole, comp);
+    const interval::Components comps = interval::components(whole);
+    for (std::size_t c = 0; c < comps.size(); ++c) {
+      PathIntervals rep = interval::restrict(whole, comps[c]);
       Graph g = interval::to_graph(rep);
       ++checked;
       EXPECT_EQ(interval_diameter(rep, scratch), diameter_exact(g))

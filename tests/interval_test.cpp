@@ -57,8 +57,9 @@ TEST(IntervalRep, OmegaEqualsBruteForceChromatic) {
 TEST(IntervalRep, DiameterMatchesExact) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 7u, 11u}) {
     auto rep = rep_from_random(60, 80.0, 4.0, seed);
-    for (const auto& comp : interval::components(rep)) {
-      auto sub = interval::restrict(rep, comp);
+    const interval::Components comps = interval::components(rep);
+    for (std::size_t c = 0; c < comps.size(); ++c) {
+      auto sub = interval::restrict(rep, comps[c]);
       Graph g = interval::to_graph(sub);
       if (g.num_vertices() <= 1) continue;
       PathScratch scratch;

@@ -344,8 +344,9 @@ TEST(RulingSet, WorksOnRandomIntervalModels) {
     auto gen = random_interval({.n = 120, .window = 200.0, .min_len = 1.0,
                                 .max_len = 6.0, .seed = seed});
     auto rep = interval::from_geometry(gen.left, gen.right);
-    for (const auto& comp : interval::components(rep)) {
-      auto sub = interval::restrict(rep, comp);
+    const interval::Components comps = interval::components(rep);
+    for (std::size_t c = 0; c < comps.size(); ++c) {
+      auto sub = interval::restrict(rep, comps[c]);
       auto result = local::distance_k_mis_interval(sub, 3);
       for (std::size_t v = 0; v < sub.vertices.size(); ++v) {
         int best = 1 << 30;

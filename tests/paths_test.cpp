@@ -14,6 +14,14 @@ std::vector<char> all_active(const CliqueForest& forest) {
   return std::vector<char>(static_cast<std::size_t>(forest.num_cliques()), 1);
 }
 
+/// V_P of Lemma 7, ascending: the vertices of the path's interval model.
+std::vector<int> union_vertices(const CliqueForest& forest,
+                                const ForestPath& path) {
+  PathScratch scratch;
+  interval_model(forest.cliques(), path.cliques, scratch, scratch.rep);
+  return scratch.rep.vertices;
+}
+
 TEST(ForestPaths, PathGraphIsOnePendantPath) {
   Graph g = path_graph(8);
   CliqueForest forest = CliqueForest::build(g);
@@ -75,7 +83,7 @@ TEST(ForestPaths, OwnedVerticesExcludeSharedWithAttachment) {
   auto paths = maximal_binary_paths(forest, all_active(forest));
   for (const auto& p : paths) {
     auto owned = path_owned_vertices(forest, all_active(forest), p);
-    auto uni = path_union_vertices(forest, p);
+    auto uni = union_vertices(forest, p);
     // Owned is a subset of the union.
     for (int v : owned) {
       EXPECT_TRUE(std::binary_search(uni.begin(), uni.end(), v));
@@ -129,7 +137,7 @@ TEST(ForestPaths, DiameterMatchesExactBfs) {
       auto gen = random_chordal_from_clique_tree(config);
       CliqueForest forest = CliqueForest::build(gen.graph);
       for (const auto& p : maximal_binary_paths(forest, all_active(forest))) {
-        auto uni = path_union_vertices(forest, p);
+        auto uni = union_vertices(forest, p);
         Graph induced = gen.graph.induced_subgraph(uni);
         EXPECT_EQ(testing::path_diameter(forest, p), diameter_exact(induced))
             << "shape " << static_cast<int>(shape) << " seed " << seed;
@@ -150,7 +158,7 @@ TEST(ForestPaths, IndependenceMatchesBruteForce) {
       auto gen = random_chordal_from_clique_tree(config);
       CliqueForest forest = CliqueForest::build(gen.graph);
       for (const auto& p : maximal_binary_paths(forest, all_active(forest))) {
-        auto uni = path_union_vertices(forest, p);
+        auto uni = union_vertices(forest, p);
         Graph induced = gen.graph.induced_subgraph(uni);
         EXPECT_EQ(testing::path_alpha(forest, p),
                   testing::brute_force_alpha(induced))
