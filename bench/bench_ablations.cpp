@@ -8,7 +8,7 @@
 //      actually recolors as eps shrinks.
 #include "bench_common.hpp"
 #include "core/mvc.hpp"
-#include "local/ball.hpp"
+#include "local/workspace.hpp"
 #include "support/stats.hpp"
 
 int main(int argc, char** argv) {
@@ -82,10 +82,12 @@ int main(int argc, char** argv) {
     auto gen2 = bench::chordal_workload(n, TreeShape::kRandom, 53);
     for (int radius : {2, 5, 10, 40}) {
       StatAccumulator acc;
+      local::BallWorkspace ws;
+      local::Ball ball;
       for (int v = 0; v < gen2.graph.num_vertices();
            v += std::max(1, gen2.graph.num_vertices() / 200)) {
-        auto ball = local::collect_ball(gen2.graph, v, radius, nullptr,
-                                         nullptr, ctx.net());
+        local::collect_ball(gen2.graph, v, radius, nullptr, ws, ball,
+                            ctx.net());
         acc.add(static_cast<double>(ball.vertices.size()));
       }
       ball_table.add_row(

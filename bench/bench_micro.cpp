@@ -13,7 +13,6 @@
 #include "graph/cliques.hpp"
 #include "graph/generators.hpp"
 #include "graph/peo.hpp"
-#include "local/ball.hpp"
 #include "local/workspace.hpp"
 #include "support/parallel.hpp"
 
@@ -109,60 +108,21 @@ void BM_FamilyMwsfReference(benchmark::State& state) {
 }
 BENCHMARK(BM_FamilyMwsfReference);
 
-void BM_BallCollection(benchmark::State& state) {
-  auto gen = workload(2048);
-  int v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        local::collect_ball(gen.graph, v, static_cast<int>(state.range(0))));
-    v = (v + 37) % gen.graph.num_vertices();
-  }
-}
-BENCHMARK(BM_BallCollection)->DenseRange(2, 14, 4);
-
-void BM_BallCollectionRestricted(benchmark::State& state) {
-  // The drivers' actual call shape: collection inside an activity mask.
-  auto gen = workload(2048);
-  std::vector<char> active(
-      static_cast<std::size_t>(gen.graph.num_vertices()), 1);
-  for (int v = 0; v < gen.graph.num_vertices(); v += 5) active[v] = 0;
-  int v = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(local::collect_ball(
-        gen.graph, v, static_cast<int>(state.range(0)), &active));
-    do {
-      v = (v + 37) % gen.graph.num_vertices();
-    } while (!active[v]);
-  }
-}
-BENCHMARK(BM_BallCollectionRestricted)->DenseRange(2, 14, 4);
-
 void BM_BallCollectionWorkspace(benchmark::State& state) {
-  // Workspace form: same balls as BM_BallCollection, zero O(n) clears and
-  // zero steady-state allocations. The ratio to BM_BallCollection is the
-  // per-call allocation/clear overhead of the naive path.
+  // Ball collection through one warm workspace: zero O(n) clears and zero
+  // steady-state allocations.
   auto gen = workload(2048);
   local::BallWorkspace ws;
   local::Ball ball;
   int v = 0;
   for (auto _ : state) {
     local::collect_ball(gen.graph, v, static_cast<int>(state.range(0)),
-                        nullptr, nullptr, ws, ball);
+                        nullptr, ws, ball);
     benchmark::DoNotOptimize(ball.vertices.data());
     v = (v + 37) % gen.graph.num_vertices();
   }
 }
 BENCHMARK(BM_BallCollectionWorkspace)->DenseRange(2, 14, 4);
-
-void BM_LocalView(benchmark::State& state) {
-  auto gen = workload(1024);
-  int v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_local_view(gen.graph, v, 6));
-    v = (v + 41) % gen.graph.num_vertices();
-  }
-}
-BENCHMARK(BM_LocalView);
 
 void BM_LocalViewWorkspace(benchmark::State& state) {
   auto gen = workload(1024);

@@ -85,7 +85,7 @@ long long query_audit(const Graph& g) {
     for (int i = 0; i < 64; ++i) {
       int v = static_cast<int>((static_cast<long long>(i) * 2654435761ll) %
                                n);
-      local::collect_ball(g, v, 2, nullptr, nullptr, ws, ball);
+      local::collect_ball(g, v, 2, nullptr, ws, ball);
     }
   };
   lap();  // warm-up: reach the scratch high-water marks

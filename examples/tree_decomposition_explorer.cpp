@@ -9,6 +9,7 @@
 #include "cliqueforest/local_view.hpp"
 #include "cliqueforest/paths.hpp"
 #include "graph/graph.hpp"
+#include "local/workspace.hpp"
 
 namespace {
 
@@ -74,7 +75,10 @@ int main() {
 
   std::printf("\nLocal view of node 10 from its distance-3 ball "
               "(Figures 3-4):\n");
-  LocalView view = compute_local_view(g, /*observer=*/9, /*radius=*/3);
+  local::BallWorkspace ws;
+  LocalView view;
+  local::compute_local_view(g, /*observer=*/9, /*radius=*/3, nullptr, ws,
+                            view);
   std::printf("  sees %zu maximal cliques, %zu forest edges, trusts %zu "
               "vertices\n",
               view.cliques.size(), view.forest_edges.size(),

@@ -84,10 +84,6 @@ class DynamicCliqueForest {
 
   int num_cliques() const { return alive_cliques_; }
   int num_clique_slots() const { return static_cast<int>(words_.size()); }
-  bool clique_alive(int c) const {
-    return c >= 0 && c < num_clique_slots() &&
-           cl_alive_[static_cast<std::size_t>(c)];
-  }
   CliqueWord word(int c) const { return words_[static_cast<std::size_t>(c)]; }
   /// Sorted clique-slot ids containing vertex slot v.
   std::span<const std::int32_t> cliques_of(int v) const {

@@ -5,7 +5,8 @@
 // (such cliques fit inside Gamma[u], hence inside the ball) and the unique
 // maximum weight spanning forest of W restricted to phi(u), which by
 // Lemma 2 equals the subtree T(u) of the *global* clique forest. The union
-// of these subtrees is v's coherent local view.
+// of these subtrees is v's coherent local view. It is built from a
+// collected ball by local::compute_local_view (local/workspace.hpp).
 #pragma once
 
 #include <vector>
@@ -28,11 +29,5 @@ struct LocalView {
   /// (those within distance radius-1 of the observer).
   std::vector<int> trusted_vertices;
 };
-
-/// Computes the local view of `observer` from its distance-`radius` ball in
-/// the subgraph induced by {u : active == nullptr || (*active)[u]}.
-/// The observer must be active. Requires radius >= 1.
-LocalView compute_local_view(const Graph& g, int observer, int radius,
-                             const std::vector<char>* active = nullptr);
 
 }  // namespace chordal

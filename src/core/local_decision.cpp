@@ -192,8 +192,15 @@ const PathIntervals& chain_model(DecisionScratch& s) {
   return s.intervals.rep;
 }
 
-/// One node's coloring-mode pruning decision (threshold: diam >= 3k).
-bool decide_locally(const Graph& g, int v, int radius, int k,
+/// One node's pruning decision from its own ball. A visible leaf end makes
+/// the maximal path pendant (removed in both modes); two branch ends leave
+/// it to the shared threshold rule, internal_path_removed. A horizon end is
+/// radius-2 away, which certifies the threshold: at radius 10k the visible
+/// chain already has diameter >= 3k; at 4d+10 it has diameter >= 4d+7 >=
+/// 2d+3 and alpha >= diameter/2 >= d. `last_round` selects the MIS
+/// threshold of the final iteration.
+bool decide_locally(const Graph& g, int v, int radius,
+                    const PeelConfig& config, bool last_round,
                     bool* used_horizon, const std::vector<char>& active,
                     DecisionScratch& scratch) {
   ChainAnalysis a = analyze_chain(g, v, radius, active, scratch);
@@ -201,30 +208,10 @@ bool decide_locally(const Graph& g, int v, int radius, int k,
   if (a.ends[0] == EndKind::kLeaf || a.ends[1] == EndKind::kLeaf) return true;
   if (a.ends[0] == EndKind::kHorizon || a.ends[1] == EndKind::kHorizon) {
     if (used_horizon != nullptr) *used_horizon = true;
-    // The horizon is radius-2 away, so the visible chain already certifies
-    // diameter >= 3k; the maximal path is removable whatever lies beyond.
     return true;
   }
-  return interval_diameter(chain_model(scratch), scratch.intervals) >= 3 * k;
-}
-
-/// One node's MIS-mode pruning decision: pendant always; internal paths by
-/// diam >= 2d+3 (early iterations) or alpha >= d (the final iteration).
-bool decide_locally_mis(const Graph& g, int v, int radius, int d,
-                        bool last_round, const std::vector<char>& active,
-                        DecisionScratch& scratch) {
-  ChainAnalysis a = analyze_chain(g, v, radius, active, scratch);
-  if (!a.family_binary) return false;
-  if (a.ends[0] == EndKind::kLeaf || a.ends[1] == EndKind::kLeaf) return true;
-  if (a.ends[0] == EndKind::kHorizon || a.ends[1] == EndKind::kHorizon) {
-    // radius = 4d+10 puts the horizon >= 4d+7 away: diameter certainly
-    // >= 2d+3, and alpha >= diameter/2 >= d, so the path is removable
-    // under either threshold.
-    return true;
-  }
-  const PathIntervals& rep = chain_model(scratch);
-  return last_round ? interval_alpha(rep, scratch.intervals) >= d
-                    : interval_diameter(rep, scratch.intervals) >= 2 * d + 3;
+  return internal_path_removed(chain_model(scratch), config, last_round,
+                               scratch.intervals);
 }
 
 /// The audit loop shared by both modes: replays the peeling's activity
@@ -283,6 +270,7 @@ LocalDecisionAudit audit_decisions(const Graph& g,
 PeelingResult peel_with_local_decisions(const Graph& g,
                                         const CliqueForest& forest, int k) {
   const int radius = 10 * k;
+  const PeelConfig config{.mode = PeelMode::kColoring, .k = k};
   const int m = forest.num_cliques();
   PeelingResult result;
   result.layer_of.assign(static_cast<std::size_t>(g.num_vertices()), 0);
@@ -331,8 +319,9 @@ PeelingResult peel_with_local_decisions(const Graph& g,
             int v = static_cast<int>(i);
             if (!active_vertex[v]) continue;
             ++worker_views[worker];
-            bool remove =
-                decide_locally(g, v, radius, k, nullptr, active_vertex, s);
+            bool remove = decide_locally(g, v, radius, config,
+                                         /*last_round=*/false, nullptr,
+                                         active_vertex, s);
             if (remove) removed[v] = 1;
             obs::trace_emit(tb, obs::TraceEventKind::kLocalDecision, v, iter,
                             remove ? 1 : 0);
@@ -410,11 +399,13 @@ LocalDecisionAudit audit_local_pruning(const Graph& g,
                                        const PeelingResult& peeling, int k,
                                        int stride) {
   const int radius = 10 * k;
+  const PeelConfig config{.mode = PeelMode::kColoring, .k = k};
   return audit_decisions(
       g, peeling, stride,
       [&](int v, int, const std::vector<char>& active, DecisionScratch& s,
           bool* used_horizon) {
-        return decide_locally(g, v, radius, k, used_horizon, active, s);
+        return decide_locally(g, v, radius, config, /*last_round=*/false,
+                              used_horizon, active, s);
       });
 }
 
@@ -422,12 +413,13 @@ LocalDecisionAudit audit_local_pruning_mis(const Graph& g,
                                            const PeelingResult& peeling,
                                            int d, int stride) {
   const int radius = 4 * d + 10;
+  const PeelConfig config{.mode = PeelMode::kIndependentSet, .d = d};
   return audit_decisions(
       g, peeling, stride,
       [&](int v, int iter, const std::vector<char>& active,
           DecisionScratch& s, bool*) {
-        return decide_locally_mis(g, v, radius, d,
-                                  iter == peeling.num_layers, active, s);
+        return decide_locally(g, v, radius, config,
+                              iter == peeling.num_layers, nullptr, active, s);
       });
 }
 

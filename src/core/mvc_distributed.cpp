@@ -10,7 +10,6 @@
 #include "interval/col_int_graph.hpp"
 #include "interval/offline.hpp"
 #include "interval/window_recolor.hpp"
-#include "local/ball.hpp"
 #include "local/bandwidth.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"

@@ -11,6 +11,16 @@
 
 namespace chordal::core {
 
+bool internal_path_removed(const PathIntervals& model,
+                           const PeelConfig& config, bool last_round,
+                           PathScratch& scratch) {
+  if (config.mode == PeelMode::kColoring) {
+    return interval_diameter(model, scratch) >= 3 * config.k;
+  }
+  return last_round ? interval_alpha(model, scratch) >= config.d
+                    : interval_diameter(model, scratch) >= 2 * config.d + 3;
+}
+
 PeelingResult peel(const Graph& g, const CliqueForest& forest,
                    const PeelConfig& config) {
   if (config.mode == PeelMode::kColoring && config.k < 2) {
@@ -63,13 +73,7 @@ PeelingResult peel(const Graph& g, const CliqueForest& forest,
           bool take = path.pendant;
           if (!take) {
             interval_model(forest.cliques(), path.cliques, s, s.rep);
-            if (config.mode == PeelMode::kColoring) {
-              take = interval_diameter(s.rep, s) >= 3 * config.k;
-            } else if (last_mis_round) {
-              take = interval_alpha(s.rep, s) >= config.d;
-            } else {
-              take = interval_diameter(s.rep, s) >= 2 * config.d + 3;
-            }
+            take = internal_path_removed(s.rep, config, last_mis_round, s);
           }
           if (!take) return;
           selected[i] = 1;

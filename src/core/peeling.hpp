@@ -50,6 +50,16 @@ struct PeelingResult {
   std::vector<int> high_degree_counts;
 };
 
+/// The threshold rule for an internal (non-pendant) maximal binary path
+/// whose interval model is `model`: coloring mode removes it iff
+/// diam >= 3k; MIS mode iff alpha >= d on the last iteration, else
+/// diam >= 2d+3. peel() and the per-node decisions of local_decision.cpp
+/// both call it, so Lemma 12's per-node = global equality holds for the
+/// threshold by construction.
+bool internal_path_removed(const PathIntervals& model,
+                           const PeelConfig& config, bool last_round,
+                           PathScratch& scratch);
+
 /// Runs the peeling process on a prebuilt clique forest of g, recomputing
 /// every path's threshold metric at every iteration.
 PeelingResult peel(const Graph& g, const CliqueForest& forest,

@@ -1,9 +1,10 @@
 // Breadth-first search utilities: distances, balls, restricted searches.
 //
-// Two forms of each query: an allocating convenience form, and an
-// epoch-stamped scratch form (BfsScratch) that touches only visited-size
-// state and allocates nothing once warm - the substrate for per-vertex
-// sweeps (diameter, graph powers, component scans) at million-node scale.
+// One BFS core: an epoch-stamped scratch (BfsScratch) that touches only
+// visited-size state and allocates nothing once warm - the substrate for
+// per-vertex sweeps (diameter, graph powers, ball collection) at
+// million-node scale. The allocating queries are thin wrappers over it
+// for tests and cold paths.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +29,9 @@ struct BfsScratch {
     }
   }
 
+  /// True when v was reached by the last search on this scratch.
+  bool visited(int v) const { return stamp[v] == epoch; }
+
   std::uint64_t epoch = 0;
   std::vector<std::uint64_t> stamp;  // per vertex: visit epoch
   std::vector<int> dist;             // valid where stamp[v] == epoch
@@ -42,8 +46,9 @@ std::vector<int> bfs_distances(const Graph& g, int source);
 std::vector<int> bfs_distances_restricted(const Graph& g, int source,
                                           const std::vector<char>& active);
 
-/// Vertices at distance <= radius from `center`, in BFS (distance, id) order.
-/// This is the closed ball Gamma^radius[center] of the paper.
+/// Vertices at distance <= radius from `center`, in BFS order: FIFO, each
+/// vertex's neighbors in adjacency order. This is the closed ball
+/// Gamma^radius[center] of the paper.
 std::vector<VertexId> ball_vertices(const Graph& g, int center, int radius);
 
 /// Ball restricted to an active vertex subset.
@@ -68,7 +73,7 @@ std::span<const VertexId> ball_vertices_restricted(
 /// their distances. Returns the number of vertices reached.
 std::size_t bfs_scratch(const Graph& g, int source, BfsScratch& scratch);
 
-/// Exact distance between two vertices (-1 if disconnected); early-exits.
+/// Exact distance between two vertices (-1 if disconnected).
 int distance_between(const Graph& g, int u, int v);
 
 }  // namespace chordal

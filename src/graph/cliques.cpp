@@ -5,8 +5,8 @@
 
 namespace chordal {
 
-std::vector<std::vector<int>> maximal_cliques_chordal(
-    const Graph& g, const EliminationOrder& peo) {
+CliqueFamily maximal_cliques_chordal_family(const Graph& g,
+                                            const EliminationOrder& peo) {
   const int n = g.num_vertices();
   // later_count[v] = |N_later(v)|; follower[v] = later neighbor of v that is
   // closest to v in the order (the parent m(v) of the clique-tree
@@ -34,53 +34,6 @@ std::vector<std::vector<int>> maximal_cliques_chordal(
       reach[follower[u]] = std::max(reach[follower[u]], later_count[u]);
     }
   }
-  std::vector<std::vector<int>> cliques;
-  for (int v = 0; v < n; ++v) {
-    if (reach[v] >= later_count[v] + 1) continue;  // dominated, not maximal
-    std::vector<int> clique;
-    clique.reserve(static_cast<std::size_t>(later_count[v]) + 1);
-    clique.push_back(v);
-    for (int w : g.neighbors(v)) {
-      if (peo.position[w] > peo.position[v]) clique.push_back(w);
-    }
-    std::sort(clique.begin(), clique.end());
-    cliques.push_back(std::move(clique));
-  }
-  std::sort(cliques.begin(), cliques.end());
-  return cliques;
-}
-
-std::vector<std::vector<int>> maximal_cliques_chordal(const Graph& g) {
-  return maximal_cliques_chordal(g, peo_or_throw(g));
-}
-
-CliqueFamily maximal_cliques_chordal_family(const Graph& g,
-                                            const EliminationOrder& peo) {
-  const int n = g.num_vertices();
-  // Same Fulkerson-Gross extraction as the nested form above, but the words
-  // stream into one flat staging family, which is then emitted in canonical
-  // lexicographic order through an index argsort. The words of distinct
-  // maximal cliques are distinct, so the order (and hence the output) is
-  // exactly the nested path's.
-  std::vector<int> later_count(static_cast<std::size_t>(n), 0);
-  std::vector<int> follower(static_cast<std::size_t>(n), -1);
-  for (int v = 0; v < n; ++v) {
-    for (int w : g.neighbors(v)) {
-      if (peo.position[w] > peo.position[v]) {
-        ++later_count[v];
-        if (follower[v] == -1 ||
-            peo.position[w] < peo.position[follower[v]]) {
-          follower[v] = w;
-        }
-      }
-    }
-  }
-  std::vector<int> reach(static_cast<std::size_t>(n), -1);
-  for (int u = 0; u < n; ++u) {
-    if (follower[u] != -1) {
-      reach[follower[u]] = std::max(reach[follower[u]], later_count[u]);
-    }
-  }
   CliqueFamily stage;
   std::vector<VertexId> word;
   for (int v = 0; v < n; ++v) {
@@ -93,6 +46,8 @@ CliqueFamily maximal_cliques_chordal_family(const Graph& g,
     std::sort(word.begin(), word.end());
     stage.push_word(word);
   }
+  // Canonical order through an index argsort: the words of distinct
+  // maximal cliques are distinct, so word_less is a strict total order.
   const std::size_t m = stage.size();
   std::vector<int> order(m);
   for (std::size_t c = 0; c < m; ++c) order[c] = static_cast<int>(c);
@@ -108,6 +63,15 @@ CliqueFamily maximal_cliques_chordal_family(const Graph& g,
 
 CliqueFamily maximal_cliques_chordal_family(const Graph& g) {
   return maximal_cliques_chordal_family(g, peo_or_throw(g));
+}
+
+std::vector<std::vector<int>> maximal_cliques_chordal(
+    const Graph& g, const EliminationOrder& peo) {
+  return maximal_cliques_chordal_family(g, peo).to_nested();
+}
+
+std::vector<std::vector<int>> maximal_cliques_chordal(const Graph& g) {
+  return maximal_cliques_chordal(g, peo_or_throw(g));
 }
 
 namespace {
@@ -164,31 +128,11 @@ std::vector<std::vector<int>> maximal_cliques_bruteforce(const Graph& g) {
   return out;
 }
 
-bool cliques_lex_sorted(const std::vector<std::vector<int>>& cliques) {
-  for (std::size_t c = 1; c < cliques.size(); ++c) {
-    if (!(cliques[c - 1] < cliques[c])) return false;
-  }
-  return true;
-}
-
 bool cliques_lex_sorted(const CliqueFamily& cliques) {
   for (std::size_t c = 1; c < cliques.size(); ++c) {
     if (!word_less(cliques[c - 1], cliques[c])) return false;
   }
   return true;
-}
-
-std::vector<int> clique_lex_ranks(
-    const std::vector<std::vector<int>>& cliques) {
-  const int m = static_cast<int>(cliques.size());
-  std::vector<int> order(static_cast<std::size_t>(m));
-  for (int c = 0; c < m; ++c) order[c] = c;
-  std::stable_sort(order.begin(), order.end(), [&cliques](int a, int b) {
-    return cliques[a] < cliques[b];
-  });
-  std::vector<int> ranks(static_cast<std::size_t>(m));
-  for (int r = 0; r < m; ++r) ranks[order[r]] = r;
-  return ranks;
 }
 
 std::vector<int> clique_lex_ranks(const CliqueFamily& cliques) {
@@ -206,7 +150,7 @@ std::vector<int> clique_lex_ranks(const CliqueFamily& cliques) {
 
 int max_clique_size_chordal(const Graph& g) {
   std::size_t best = 0;
-  for (const auto& c : maximal_cliques_chordal(g)) {
+  for (CliqueWord c : maximal_cliques_chordal_family(g)) {
     best = std::max(best, c.size());
   }
   return static_cast<int>(best);

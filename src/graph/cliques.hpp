@@ -15,21 +15,20 @@
 
 namespace chordal {
 
-/// Maximal cliques of a chordal graph, each sorted ascending, and the list
-/// sorted lexicographically (so the output is canonical). Throws if g is not
+/// Maximal cliques of a chordal graph in canonical form: each word sorted
+/// ascending, the words in lexicographic order. Emitted straight into a
+/// flat CliqueFamily slab - the one Fulkerson-Gross extraction, used by the
+/// full-graph forest build and by every local view. Throws if g is not
 /// chordal.
-std::vector<std::vector<int>> maximal_cliques_chordal(const Graph& g);
-
-/// As above, but reuses an already-verified PEO.
-std::vector<std::vector<int>> maximal_cliques_chordal(
-    const Graph& g, const EliminationOrder& peo);
-
-/// Flat-substrate form: the same canonical family, emitted straight into a
-/// CliqueFamily slab (no vector<vector<int>> staging). This is the path the
-/// full-graph forest build takes at million-node scale.
 CliqueFamily maximal_cliques_chordal_family(const Graph& g);
+/// As above, but reuses an already-verified PEO.
 CliqueFamily maximal_cliques_chordal_family(const Graph& g,
                                             const EliminationOrder& peo);
+
+/// The same family expanded to nested vectors (tests and cold paths).
+std::vector<std::vector<int>> maximal_cliques_chordal(const Graph& g);
+std::vector<std::vector<int>> maximal_cliques_chordal(
+    const Graph& g, const EliminationOrder& peo);
 
 /// Bron-Kerbosch with pivoting; works on any graph. Exponential in the worst
 /// case - intended for tests on small instances. Output canonicalized the
@@ -40,9 +39,8 @@ std::vector<std::vector<int>> maximal_cliques_bruteforce(const Graph& g);
 int max_clique_size_chordal(const Graph& g);
 
 /// True when the clique words are strictly increasing lexicographically -
-/// the canonical order produced by maximal_cliques_chordal and required by
-/// the fast forest engine's rank-free tie-breaks (rank == index).
-bool cliques_lex_sorted(const std::vector<std::vector<int>>& cliques);
+/// the canonical order produced by maximal_cliques_chordal_family and
+/// required by the fast forest engine's rank-free tie-breaks (rank == index).
 bool cliques_lex_sorted(const CliqueFamily& cliques);
 
 /// Lexicographic rank of every clique word within the family: ranks[c] == r
@@ -51,8 +49,6 @@ bool cliques_lex_sorted(const CliqueFamily& cliques);
 /// (weight, min rank, max rank) instead of repeated O(omega) word
 /// comparisons. Identity for canonical (sorted, distinct) families; ties
 /// between equal words are broken by index.
-std::vector<int> clique_lex_ranks(
-    const std::vector<std::vector<int>>& cliques);
 std::vector<int> clique_lex_ranks(const CliqueFamily& cliques);
 
 }  // namespace chordal

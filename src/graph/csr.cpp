@@ -16,11 +16,6 @@ CsrAssembler::CsrAssembler(long long n) : n_(n) {
   degree_.assign(static_cast<std::size_t>(n), 0);
 }
 
-void CsrAssembler::reserve_edges(long long m) {
-  if (m < 0) throw std::invalid_argument("CsrAssembler: negative edge count");
-  endpoints_.reserve(static_cast<std::size_t>(2 * m));
-}
-
 void CsrAssembler::add_edge(long long u, long long v) {
   if (u == v) throw std::invalid_argument("CsrAssembler: self-loop");
   if (u < 0 || v < 0 || u >= n_ || v >= n_) {

@@ -39,9 +39,6 @@ class CsrAssembler {
   /// Edges staged so far (before deduplication).
   std::size_t staged_edges() const { return endpoints_.size() / 2; }
 
-  /// Pre-sizes the endpoint buffer for `m` edges (optional).
-  void reserve_edges(long long m);
-
   /// Stages one undirected edge. Rejects loops and out-of-range endpoints
   /// (std::invalid_argument / std::out_of_range, matching GraphBuilder);
   /// duplicates are allowed and removed by finish(). Throws IdOverflowError

@@ -1,66 +1,44 @@
 #include "local/workspace.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "cliqueforest/forest.hpp"
 #include "graph/cliques.hpp"
-#include "local/bandwidth.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace chordal::local {
 
-void BallWorkspace::ensure(const Graph& g) {
-  auto n = static_cast<std::size_t>(g.num_vertices());
-  if (visit_stamp.size() < n) {
-    visit_stamp.resize(n, 0);
-    local_id.resize(n, 0);
-  }
-}
-
 namespace {
 
-/// Radius-limited BFS + induced-CSR assembly; fills out.vertices (BFS
-/// order), out.dist and out.graph exactly as the allocating collect_ball
-/// does, but touches only ball-sized state. No ledger, no telemetry.
+/// Radius-limited BFS (graph/bfs.hpp) + induced-CSR assembly; fills
+/// out.vertices (BFS order), out.dist and out.graph, touching only
+/// ball-sized state. No charge, no telemetry.
 void collect_ball_core(const Graph& g, int center, int radius,
                        const std::vector<char>* active, BallWorkspace& ws,
                        Ball& out) {
-  ws.ensure(g);
-  if (center < 0 || center >= g.num_vertices()) {
-    throw std::out_of_range("bfs: source out of range");
+  std::span<const VertexId> order =
+      active == nullptr
+          ? ball_vertices(g, center, radius, ws.bfs)
+          : ball_vertices_restricted(g, center, radius, *active, ws.bfs);
+  if (ws.local_id.size() < ws.bfs.stamp.size()) {
+    ws.local_id.resize(ws.bfs.stamp.size(), 0);
   }
-  if (active != nullptr && !(*active)[center]) {
-    throw std::invalid_argument("bfs: inactive source");
-  }
-  const std::uint64_t visit = ++ws.epoch;
-  out.vertices.clear();
-  out.dist.clear();
-  ws.visit_stamp[center] = visit;
-  ws.local_id[center] = 0;
-  out.vertices.push_back(center);
-  out.dist.push_back(0);
-  for (std::size_t head = 0; head < out.vertices.size(); ++head) {
-    int u = static_cast<int>(out.vertices[head]);
-    int du = out.dist[head];
-    if (radius >= 0 && du >= radius) continue;
-    for (VertexId w : g.neighbors(u)) {
-      if (ws.visit_stamp[w] == visit) continue;
-      if (active != nullptr && !(*active)[w]) continue;
-      ws.visit_stamp[w] = visit;
-      ws.local_id[w] = static_cast<int>(out.vertices.size());
-      out.vertices.push_back(w);
-      out.dist.push_back(du + 1);
-    }
+  const int k = static_cast<int>(order.size());
+  out.vertices.assign(order.begin(), order.end());
+  out.dist.resize(static_cast<std::size_t>(k));
+  for (int i = 0; i < k; ++i) {
+    ws.local_id[order[i]] = i;
+    out.dist[i] = ws.bfs.dist[order[i]];
   }
   // Induced subgraph in ball-local ids. Neighbor lists sorted ascending by
   // local id, matching Graph::induced_subgraph.
-  const int k = static_cast<int>(out.vertices.size());
   ws.offsets.assign(static_cast<std::size_t>(k) + 1, 0);
   for (int i = 0; i < k; ++i) {
     for (VertexId w : g.neighbors(static_cast<int>(out.vertices[i]))) {
-      if (ws.visit_stamp[w] == visit) ++ws.offsets[i + 1];
+      if (ws.bfs.visited(static_cast<int>(w))) ++ws.offsets[i + 1];
     }
   }
   for (int i = 0; i < k; ++i) ws.offsets[i + 1] += ws.offsets[i];
@@ -68,7 +46,7 @@ void collect_ball_core(const Graph& g, int center, int radius,
   for (int i = 0; i < k; ++i) {
     EdgeIndex cursor = ws.offsets[i];
     for (VertexId w : g.neighbors(static_cast<int>(out.vertices[i]))) {
-      if (ws.visit_stamp[w] == visit) {
+      if (ws.bfs.visited(static_cast<int>(w))) {
         ws.adj[static_cast<std::size_t>(cursor++)] =
             static_cast<VertexId>(ws.local_id[w]);
       }
@@ -79,33 +57,40 @@ void collect_ball_core(const Graph& g, int center, int radius,
 }
 
 /// The clique/forest stage of compute_local_view, from an already collected
-/// radius-`radius` ball of the observer. Uses ws only for flat scratch
-/// (phi_pairs/family); does not disturb the stamped tables.
+/// radius-`radius` ball of the observer. Uses ws only for flat scratch;
+/// does not disturb the stamped tables.
 void view_from_ball(const Ball& ball, int radius, BallWorkspace& ws,
                     LocalView& out) {
-  // Maximal cliques of the ball graph containing a vertex at distance
-  // <= radius-1 are maximal cliques of G (see cliqueforest/local_view.cpp,
-  // the allocating reference implementation of this function).
-  auto local_cliques = maximal_cliques_chordal(ball.graph);
+  // Maximal cliques of the ball graph that contain a vertex at distance
+  // <= radius-1 are maximal cliques of the full graph: such a clique fits
+  // in the closed neighborhood of that vertex, which the ball fully
+  // contains, so no outside vertex could extend it. Keep those, in global
+  // ids, each word sorted.
+  CliqueFamily local_cliques = maximal_cliques_chordal_family(ball.graph);
+  ws.trusted_words.clear();
+  for (CliqueWord clique : local_cliques) {
+    bool trusted = false;
+    for (VertexId lv : clique) trusted = trusted || ball.dist[lv] <= radius - 1;
+    if (!trusted) continue;
+    ws.word.clear();
+    for (VertexId lv : clique) ws.word.push_back(ball.vertices[lv]);
+    std::sort(ws.word.begin(), ws.word.end());
+    ws.trusted_words.push_word(ws.word);
+  }
+  // Canonical word order through an index argsort (the words are
+  // distinct), emitted into the reused view slabs.
+  ws.word_order.resize(ws.trusted_words.size());
+  std::iota(ws.word_order.begin(), ws.word_order.end(), 0);
+  std::sort(ws.word_order.begin(), ws.word_order.end(), [&ws](int a, int b) {
+    return word_less(ws.trusted_words[static_cast<std::size_t>(a)],
+                     ws.trusted_words[static_cast<std::size_t>(b)]);
+  });
   out.cliques.clear();
   out.forest_edges.clear();
   out.trusted_vertices.clear();
-  // Filter + globalize the nested words in place, sort the surviving
-  // prefix, then flatten into the reused CliqueFamily slabs.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < local_cliques.size(); ++i) {
-    auto& clique = local_cliques[i];
-    bool trusted = false;
-    for (int lv : clique) trusted = trusted || ball.dist[lv] <= radius - 1;
-    if (!trusted) continue;
-    for (int& lv : clique) lv = static_cast<int>(ball.vertices[lv]);
-    std::sort(clique.begin(), clique.end());
-    if (i != kept) local_cliques[kept] = std::move(clique);
-    ++kept;
+  for (int c : ws.word_order) {
+    out.cliques.push_word(ws.trusted_words[static_cast<std::size_t>(c)]);
   }
-  local_cliques.resize(kept);
-  std::sort(local_cliques.begin(), local_cliques.end());
-  for (const auto& clique : local_cliques) out.cliques.push_word(clique);
 
   // Flat phi index: (vertex, clique) pairs sorted by vertex then clique,
   // giving each family in increasing clique-index order.
@@ -124,12 +109,11 @@ void view_from_ball(const Ball& ball, int radius, BallWorkspace& ws,
   }
   std::sort(out.trusted_vertices.begin(), out.trusted_vertices.end());
 
-  // For each trusted u, the MWSF of the W-edges of phi(u) via the
-  // ForestScratch engine: counting-everything weights, weight-bucketed
-  // counting sort, integer tie-breaks (word order == index order for the
-  // sorted view cliques). Identical chosen edges to
-  // max_weight_spanning_forest on the same family, with zero allocations
-  // once the scratch is warm.
+  // For each trusted u, the unique MWSF of W restricted to phi(u) equals
+  // T(u) (Lemma 2); the view's forest is their union. The ForestScratch
+  // engine uses counting-everything weights, a weight-bucketed counting
+  // sort and integer tie-breaks (word order == index order for the sorted
+  // view cliques), with zero allocations once the scratch is warm.
   auto& edges_out = out.forest_edges;
   std::size_t p = 0;
   for (int u : out.trusted_vertices) {
@@ -158,18 +142,19 @@ void view_from_ball(const Ball& ball, int radius, BallWorkspace& ws,
 }  // namespace
 
 void collect_ball(const Graph& g, int center, int radius,
-                  const std::vector<char>* active, RoundLedger* ledger,
-                  BallWorkspace& ws, Ball& out,
-                  const BandwidthConfig& bw) {
+                  const std::vector<char>* active, BallWorkspace& ws,
+                  Ball& out, const BandwidthConfig& bw) {
   collect_ball_core(g, center, radius, active, ws, out);
+  // Flooding a radius-r ball costs r rounds under LOCAL; under CONGEST the
+  // collected volume must drain through the center's deg incident edges at
+  // B words per round, so the charge grows to max(r, ceil(volume/(deg*B))).
   auto words = static_cast<std::int64_t>(out.vertices.size() +
                                          2 * out.graph.num_edges());
-  // Same congest-aware charge formula as ball.cpp: radius rounds under
-  // LOCAL, drain-limited under CONGEST.
   std::int64_t rounds = ball_collection_rounds(
       radius, words, g.degree(center), bw, g.num_vertices());
-  if (ledger != nullptr) ledger->charge(center, rounds);
   if (obs::Registry* reg = obs::current()) {
+    // The collected view is the ball's adjacency encoding (one word per
+    // vertex, two per edge) - identical across models.
     reg->counter("ball.collections").add(1);
     reg->histogram("ball.volume_words").add(static_cast<double>(words));
     obs::Span::charge_rounds(rounds);

@@ -159,8 +159,6 @@ class Tracer {
     if (count > 0) worker(count - 1);
   }
 
-  std::size_t num_workers() const { return workers_.size(); }
-
   /// Drains every worker staging ring into the merged stream, in worker
   /// order, assigning ticks. Call after each parallel_for join (never
   /// inside a region). Worker drop counts accumulate into the tracer-wide

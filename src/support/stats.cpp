@@ -1,7 +1,6 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace chordal {
@@ -20,8 +19,6 @@ double StatAccumulator::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
 }
-
-double StatAccumulator::stddev() const { return std::sqrt(variance()); }
 
 namespace {
 

@@ -18,7 +18,6 @@ class StatAccumulator {
   double mean() const { return mean_; }
   /// Sample variance (n-1 denominator); 0 when fewer than two samples.
   double variance() const;
-  double stddev() const;
   double sum() const { return sum_; }
 
  private:

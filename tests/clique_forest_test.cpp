@@ -6,6 +6,7 @@
 #include "cliqueforest/forest.hpp"
 #include "cliqueforest/local_view.hpp"
 #include "graph/generators.hpp"
+#include "local/workspace.hpp"
 #include "test_util.hpp"
 
 namespace chordal {
@@ -126,7 +127,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ForestSeeds,
 TEST(LocalView, PaperFigure4Example) {
   Graph g = testing::paper_figure1_graph();
   // Observer is paper node 10 (vertex 9) with a distance-3 ball.
-  LocalView view = compute_local_view(g, 9, 3);
+  local::BallWorkspace ws;
+  LocalView view;
+  local::compute_local_view(g, 9, 3, nullptr, ws, view);
   // Figure 4: C' = {C1, C2, C3, C5, C6, C7, C8, C9}.
   std::vector<std::vector<int>> expected_cliques = {
       {1, 2, 3},   {2, 3, 4},   {4, 5, 6},    {2, 4, 8},
@@ -162,8 +165,10 @@ TEST(LocalView, Lemma2ConsistencyWithGlobalForest) {
       std::sort(key.begin(), key.end());
       global_edges[key] = 1;
     }
+    local::BallWorkspace ws;
+    LocalView view;
     for (int v = 0; v < g.num_vertices(); v += 7) {
-      LocalView view = compute_local_view(g, v, 4);
+      local::compute_local_view(g, v, 4, nullptr, ws, view);
       for (auto [a, b] : view.forest_edges) {
         std::vector<std::vector<int>> key = {word_vec(view.cliques[a]),
                                              word_vec(view.cliques[b])};

@@ -24,11 +24,10 @@
 #include "cliqueforest/local_view.hpp"
 #include "core/mis.hpp"
 #include "core/mvc.hpp"
-#include "graph/bfs.hpp"
 #include "graph/cliques.hpp"
 #include "graph/generators.hpp"
-#include "local/ball.hpp"
 #include "local/workspace.hpp"
+#include "local_view_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "support/parallel.hpp"
 #include "test_util.hpp"
@@ -41,71 +40,6 @@ std::vector<std::array<int, 3>> flat(const std::vector<WcigEdge>& edges) {
   out.reserve(edges.size());
   for (const auto& e : edges) out.push_back({e.a, e.b, e.weight});
   return out;
-}
-
-/// The pre-engine local-view computation, kept verbatim as the oracle: an
-/// O(n)-array membership build and a per-trusted-vertex deep copy of the
-/// family cliques fed to the reference Kruskal.
-LocalView reference_local_view(const Graph& g, int observer, int radius,
-                               const std::vector<char>* active = nullptr) {
-  std::vector<VertexId> ball =
-      active == nullptr
-          ? ball_vertices(g, observer, radius)
-          : ball_vertices_restricted(g, observer, radius, *active);
-  std::vector<int> original;
-  Graph ball_graph = g.induced_subgraph(ball, &original);
-  std::vector<int> dist_in_ball = bfs_distances(ball_graph, 0);
-  auto local_cliques = maximal_cliques_chordal(ball_graph);
-  LocalView view;
-  std::vector<std::vector<int>> kept;
-  for (auto& clique : local_cliques) {
-    bool trusted = false;
-    for (int lv : clique) trusted = trusted || dist_in_ball[lv] <= radius - 1;
-    if (!trusted) continue;
-    std::vector<int> global;
-    global.reserve(clique.size());
-    for (int lv : clique) global.push_back(original[lv]);
-    std::sort(global.begin(), global.end());
-    kept.push_back(std::move(global));
-  }
-  std::sort(kept.begin(), kept.end());
-  for (const auto& clique : kept) view.cliques.push_word(clique);
-  std::vector<std::pair<int, int>> phi_pairs;
-  for (std::size_t c = 0; c < kept.size(); ++c) {
-    for (int v : kept[c]) phi_pairs.emplace_back(v, static_cast<int>(c));
-  }
-  std::sort(phi_pairs.begin(), phi_pairs.end());
-  for (int lv = 0; lv < ball_graph.num_vertices(); ++lv) {
-    if (dist_in_ball[lv] <= radius - 1) {
-      view.trusted_vertices.push_back(original[lv]);
-    }
-  }
-  std::sort(view.trusted_vertices.begin(), view.trusted_vertices.end());
-  std::vector<std::pair<int, int>> edges;
-  std::size_t cursor = 0;
-  std::vector<int> family;
-  for (int u : view.trusted_vertices) {
-    while (cursor < phi_pairs.size() && phi_pairs[cursor].first < u) ++cursor;
-    family.clear();
-    while (cursor < phi_pairs.size() && phi_pairs[cursor].first == u) {
-      family.push_back(phi_pairs[cursor].second);
-      ++cursor;
-    }
-    if (family.size() < 2) continue;
-    std::vector<std::vector<int>> family_cliques;
-    family_cliques.reserve(family.size());
-    for (int c : family) family_cliques.push_back(kept[c]);
-    for (const auto& e : max_weight_spanning_forest_oracle(
-             family_cliques, g.num_vertices())) {
-      int a = family[e.a];
-      int b = family[e.b];
-      edges.emplace_back(std::min(a, b), std::max(a, b));
-    }
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  view.forest_edges = std::move(edges);
-  return view;
 }
 
 /// Differential workloads. The k-trees and unit-interval chains are the tie
@@ -212,7 +146,7 @@ TEST(ForestEngine, MwsfMatchesReferenceOnCanonicalFamilies) {
   std::vector<WcigEdge> fast;
   for (const auto& [name, g] : engine_workloads()) {
     auto cliques = maximal_cliques_chordal(g);
-    ASSERT_TRUE(cliques_lex_sorted(cliques)) << name;
+    ASSERT_TRUE(cliques_lex_sorted(CliqueFamily(cliques))) << name;
     auto reference =
         max_weight_spanning_forest_oracle(cliques, g.num_vertices());
     max_weight_spanning_forest(CliqueFamily(cliques), g.num_vertices(),
@@ -360,12 +294,7 @@ TEST(ForestEngine, LocalViewsMatchOracleAllPaths) {
     if (g.num_vertices() < 2) continue;
     for (int radius : {2, 4}) {
       for (int v = 0; v < g.num_vertices(); v += 5) {
-        LocalView oracle = reference_local_view(g, v, radius);
-        LocalView allocating = compute_local_view(g, v, radius);
-        EXPECT_EQ(oracle.cliques, allocating.cliques) << name;
-        EXPECT_EQ(oracle.forest_edges, allocating.forest_edges) << name;
-        EXPECT_EQ(oracle.trusted_vertices, allocating.trusted_vertices)
-            << name;
+        LocalView oracle = testing::local_view_oracle(g, v, radius);
         local::compute_local_view(g, v, radius, nullptr, ws, ws_view);
         EXPECT_EQ(oracle.cliques, ws_view.cliques) << name;
         EXPECT_EQ(oracle.forest_edges, ws_view.forest_edges) << name;
@@ -388,13 +317,11 @@ TEST(ForestEngine, LocalViewsMatchOracleUnderActivityMask) {
   LocalView ws_view;
   for (int v = 0; v < g.num_vertices(); ++v) {
     if (!active[v]) continue;
-    LocalView oracle = reference_local_view(g, v, 4, &active);
-    LocalView allocating = compute_local_view(g, v, 4, &active);
-    EXPECT_EQ(oracle.cliques, allocating.cliques);
-    EXPECT_EQ(oracle.forest_edges, allocating.forest_edges);
-    EXPECT_EQ(oracle.trusted_vertices, allocating.trusted_vertices);
+    LocalView oracle = testing::local_view_oracle(g, v, 4, &active);
     local::compute_local_view(g, v, 4, &active, ws, ws_view);
+    EXPECT_EQ(oracle.cliques, ws_view.cliques);
     EXPECT_EQ(oracle.forest_edges, ws_view.forest_edges);
+    EXPECT_EQ(oracle.trusted_vertices, ws_view.trusted_vertices);
   }
 }
 

@@ -7,11 +7,11 @@
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "interval/rep.hpp"
-#include "local/ball.hpp"
 #include "local/cole_vishkin.hpp"
 #include "local/luby.hpp"
 #include "local/network.hpp"
 #include "local/ruling_set.hpp"
+#include "local/workspace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "test_util.hpp"
@@ -21,7 +21,6 @@ namespace {
 
 using local::CvResult;
 using local::Network;
-using local::RoundLedger;
 
 TEST(Network, DeliversOnlyAfterRoundBoundary) {
   Graph g = path_graph(3);
@@ -204,25 +203,54 @@ TEST(Network, QuietNetworkStillPublishesNothing) {
   EXPECT_EQ(reg.find_counter("net.rounds"), nullptr);
 }
 
-TEST(RoundLedgerTest, ClocksAndSynchronization) {
-  RoundLedger ledger(4);
-  ledger.charge(0, 10);
-  ledger.charge(1, 3);
-  ledger.wait_until(1, 7);
-  EXPECT_EQ(ledger.clock(1), 7);
-  std::vector<int> group = {0, 1};
-  ledger.synchronize(group);
-  EXPECT_EQ(ledger.clock(1), 10);
-  EXPECT_EQ(ledger.max_clock(), 10);
-}
-
-TEST(CollectBall, ChargesRadiusRounds) {
-  Graph g = path_graph(9);
-  RoundLedger ledger(9);
-  auto ball = local::collect_ball(g, 4, 2, nullptr, &ledger);
-  EXPECT_EQ(ledger.clock(4), 2);
+TEST(CollectBall, SpanRoundsMatchCollectionRounds) {
+  // Each collection charges ball_collection_rounds to the innermost span:
+  // the radius under LOCAL, the drain bound through the center's edges
+  // under CONGEST (B = 1 makes the star's hub and leaves drain-limited).
+  struct Case {
+    const char* name;
+    Graph g;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"path", path_graph(9)});
+  cases.push_back({"star", star_graph(12)});
+  cases.push_back({"figure1", testing::paper_figure1_graph()});
+  local::BallWorkspace ws;
+  local::Ball ball;
+  bool drain_limited = false;
+  for (const auto& [name, g] : cases) {
+    for (const local::BandwidthConfig& bw :
+         {local::BandwidthConfig{}, local::congest(1)}) {
+      for (int center = 0; center < g.num_vertices(); ++center) {
+        for (int radius = 1; radius <= 3; ++radius) {
+          obs::Registry reg;
+          {
+            obs::ScopedRegistry scope(reg);
+            obs::Span span("collect");
+            local::collect_ball(g, center, radius, nullptr, ws, ball, bw);
+          }
+          const std::int64_t words = static_cast<std::int64_t>(
+              ball.vertices.size() + 2 * ball.graph.num_edges());
+          const std::int64_t expected = local::ball_collection_rounds(
+              radius, words, g.degree(center), bw, g.num_vertices());
+          const obs::SpanNode& span = *reg.span_root().children.at(0);
+          EXPECT_EQ(span.rounds, expected) << name << " center=" << center;
+          EXPECT_EQ(span.messages,
+                    static_cast<std::int64_t>(ball.vertices.size()));
+          EXPECT_EQ(span.payload_words, words);
+          if (bw.model == local::NetworkModel::kLocal) {
+            EXPECT_EQ(span.rounds, radius);
+          }
+          drain_limited = drain_limited || span.rounds > radius;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(drain_limited);
+  // The path's radius-2 ball around 4 under LOCAL: five vertices, 2 rounds.
+  local::collect_ball(path_graph(9), 4, 2, nullptr, ws, ball);
   EXPECT_EQ(ball.vertices.size(), 5u);
-  EXPECT_EQ(ball.vertices[0], 4);
+  EXPECT_EQ(ball.vertices[0], 4u);
   EXPECT_EQ(ball.graph.num_edges(), 4u);
 }
 

@@ -116,9 +116,9 @@ TEST(ParallelDeterminism, MisIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminism, PerNodePruningLedgerIdentical) {
-  // PruningMode::kPerNodeLocalViews drives one BallWorkspace per worker and
-  // a shared RoundLedger; the reported round totals come from
-  // RoundLedger::max_clock() and must not depend on the thread count.
+  // PruningMode::kPerNodeLocalViews drives one BallWorkspace per worker;
+  // the reported round totals come from the driver's per-node round clocks
+  // and must not depend on the thread count.
   ThreadRestorer restore;
   RandomChordalConfig config;
   config.n = 160;

@@ -1,15 +1,20 @@
-// BallWorkspace parity: the workspace (allocation-lean) forms of
-// collect_ball and compute_local_view must be bit-identical to the
-// allocating reference paths, including after heavy reuse of one workspace
-// and under restricted active sets, and must charge the same telemetry.
+// Ball collection and local views: the workspace forms of collect_ball and
+// compute_local_view must be bit-identical to the allocating oracles in
+// local_view_oracle.hpp, including after heavy reuse of one workspace,
+// at radius 1, under restricted and disconnected active sets, and must
+// record the collection telemetry. The Fulkerson-Gross extraction the
+// views run on their ball graphs is checked against Bron-Kerbosch.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "cliqueforest/local_view.hpp"
+#include "graph/bfs.hpp"
+#include "graph/cliques.hpp"
 #include "graph/generators.hpp"
-#include "local/ball.hpp"
 #include "local/workspace.hpp"
+#include "local_view_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "test_util.hpp"
 
@@ -18,7 +23,6 @@ namespace {
 
 using local::Ball;
 using local::BallWorkspace;
-using local::RoundLedger;
 
 std::vector<std::vector<int>> adjacency(const Graph& g) {
   std::vector<std::vector<int>> adj;
@@ -44,14 +48,34 @@ void expect_same_view(const LocalView& ref, const LocalView& ws) {
   EXPECT_EQ(ref.forest_edges, ws.forest_edges);
 }
 
+/// Two triangles and a path joined through vertices 3 and 7; knocking those
+/// out leaves an active set of three components plus an isolated vertex.
+struct SplitGraph {
+  Graph g;
+  std::vector<char> active;
+};
+
+SplitGraph split_graph() {
+  GraphBuilder b(12);
+  for (auto [u, v] : {std::pair{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4},
+                      {4, 5}, {5, 6}, {4, 6}, {6, 7}, {7, 8}, {8, 9},
+                      {9, 10}, {3, 11}}) {
+    b.add_edge(u, v);
+  }
+  SplitGraph s{b.build(), std::vector<char>(12, 1)};
+  s.active[3] = 0;
+  s.active[7] = 0;
+  return s;
+}
+
 TEST(BallWorkspace, CollectBallMatchesAllocatingPath) {
   Graph g = testing::paper_figure1_graph();
   BallWorkspace workspace;
   Ball out;
   for (int radius = 1; radius <= 5; ++radius) {
     for (int v = 0; v < g.num_vertices(); ++v) {
-      Ball ref = local::collect_ball(g, v, radius, nullptr, nullptr);
-      local::collect_ball(g, v, radius, nullptr, nullptr, workspace, out);
+      Ball ref = testing::collect_ball_oracle(g, v, radius);
+      local::collect_ball(g, v, radius, nullptr, workspace, out);
       expect_same_ball(ref, out);
     }
   }
@@ -68,71 +92,93 @@ TEST(BallWorkspace, CollectBallMatchesUnderActiveMask) {
   for (int v = 0; v < g.num_vertices(); v += 3) active[v] = 0;
   BallWorkspace workspace;
   Ball out;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    if (!active[v]) continue;
-    Ball ref = local::collect_ball(g, v, 3, &active, nullptr);
-    local::collect_ball(g, v, 3, &active, nullptr, workspace, out);
-    expect_same_ball(ref, out);
-  }
-}
-
-TEST(BallWorkspace, ReusedWorkspaceStaysExact) {
-  // The whole point of the workspace: repeated collections on one instance
-  // must not leak state between calls (epoch stamping, no clears).
-  Graph g = caterpillar(30, 2);
-  BallWorkspace workspace;
-  Ball out;
-  for (int pass = 0; pass < 3; ++pass) {
+  for (int radius : {1, 3}) {
     for (int v = 0; v < g.num_vertices(); ++v) {
-      int radius = 1 + (v + pass) % 4;
-      Ball ref = local::collect_ball(g, v, radius, nullptr, nullptr);
-      local::collect_ball(g, v, radius, nullptr, nullptr, workspace, out);
+      if (!active[v]) continue;
+      Ball ref = testing::collect_ball_oracle(g, v, radius, &active);
+      local::collect_ball(g, v, radius, &active, workspace, out);
       expect_same_ball(ref, out);
     }
   }
 }
 
-TEST(BallWorkspace, ChargesSameLedgerRounds) {
-  Graph g = testing::paper_figure1_graph();
-  RoundLedger ref_ledger(g.num_vertices());
-  RoundLedger ws_ledger(g.num_vertices());
+TEST(BallWorkspace, DisconnectedActiveSetMatchesOracle) {
+  // Balls must stop at the inactive cut vertices: the active subgraph has
+  // components {0,1,2}, {4,5,6}, {8,9,10} and {11}.
+  SplitGraph s = split_graph();
+  BallWorkspace workspace;
+  Ball ball;
+  LocalView view;
+  for (int radius = 1; radius <= 4; ++radius) {
+    for (int v = 0; v < s.g.num_vertices(); ++v) {
+      if (!s.active[v]) continue;
+      Ball ref = testing::collect_ball_oracle(s.g, v, radius, &s.active);
+      local::collect_ball(s.g, v, radius, &s.active, workspace, ball);
+      expect_same_ball(ref, ball);
+      EXPECT_LE(ball.vertices.size(), 3u) << "v=" << v;
+      local::compute_local_view(s.g, v, radius, &s.active, workspace, view);
+      expect_same_view(testing::local_view_oracle(s.g, v, radius, &s.active),
+                       view);
+    }
+  }
+  EXPECT_THROW(local::collect_ball(s.g, 3, 2, &s.active, workspace, ball),
+               std::invalid_argument);
+}
+
+TEST(BallWorkspace, ReusedWorkspaceStaysExact) {
+  // The whole point of the workspace: repeated collections on one instance
+  // must not leak state between calls (epoch stamping, no clears), also
+  // when ball collections, masked views and a second graph interleave.
+  Graph g = caterpillar(30, 2);
+  Graph other = testing::paper_figure1_graph();
+  std::vector<char> active(static_cast<std::size_t>(g.num_vertices()), 1);
+  for (int v = 2; v < g.num_vertices(); v += 5) active[v] = 0;
   BallWorkspace workspace;
   Ball out;
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    local::collect_ball(g, v, 2 + v % 3, nullptr, &ref_ledger);
-    local::collect_ball(g, v, 2 + v % 3, nullptr, &ws_ledger, workspace, out);
+  LocalView view;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      int radius = 1 + (v + pass) % 4;
+      Ball ref = testing::collect_ball_oracle(g, v, radius);
+      local::collect_ball(g, v, radius, nullptr, workspace, out);
+      expect_same_ball(ref, out);
+      if (active[v]) {
+        local::compute_local_view(g, v, radius + 1, &active, workspace, view);
+        expect_same_view(testing::local_view_oracle(g, v, radius + 1, &active),
+                         view);
+      }
+      int w = v % other.num_vertices();
+      local::compute_local_view(other, w, radius, nullptr, workspace, view);
+      expect_same_view(testing::local_view_oracle(other, w, radius), view);
+    }
   }
-  for (int v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(ref_ledger.clock(v), ws_ledger.clock(v));
-  }
-  EXPECT_EQ(ref_ledger.max_clock(), ws_ledger.max_clock());
 }
 
 TEST(BallWorkspace, ChargesSameTelemetry) {
+  // One ball.collections tick and one ball.volume_words sample (the
+  // adjacency encoding of the collected ball) per collection.
   Graph g = testing::paper_figure1_graph();
-  obs::Registry ref_reg, ws_reg;
-  {
-    obs::ScopedRegistry scope(ref_reg);
-    for (int v = 0; v < g.num_vertices(); ++v) {
-      local::collect_ball(g, v, 3, nullptr, nullptr);
-    }
+  obs::Registry expected_reg, reg;
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    Ball ref = testing::collect_ball_oracle(g, v, 3);
+    expected_reg.histogram("ball.volume_words")
+        .add(static_cast<double>(ref.vertices.size() +
+                                 2 * ref.graph.num_edges()));
   }
   {
-    obs::ScopedRegistry scope(ws_reg);
+    obs::ScopedRegistry scope(reg);
     BallWorkspace workspace;
     Ball out;
     for (int v = 0; v < g.num_vertices(); ++v) {
-      local::collect_ball(g, v, 3, nullptr, nullptr, workspace, out);
+      local::collect_ball(g, v, 3, nullptr, workspace, out);
     }
   }
-  const obs::Counter* ref_c = ref_reg.find_counter("ball.collections");
-  const obs::Counter* ws_c = ws_reg.find_counter("ball.collections");
-  ASSERT_NE(ref_c, nullptr);
-  ASSERT_NE(ws_c, nullptr);
-  EXPECT_EQ(ref_c->value(), ws_c->value());
-  const obs::Histogram* ref_h = ref_reg.find_histogram("ball.volume_words");
-  const obs::Histogram* ws_h = ws_reg.find_histogram("ball.volume_words");
-  ASSERT_NE(ref_h, nullptr);
+  const obs::Counter* collections = reg.find_counter("ball.collections");
+  ASSERT_NE(collections, nullptr);
+  EXPECT_EQ(collections->value(), static_cast<std::int64_t>(g.num_vertices()));
+  const obs::Histogram* ref_h =
+      expected_reg.find_histogram("ball.volume_words");
+  const obs::Histogram* ws_h = reg.find_histogram("ball.volume_words");
   ASSERT_NE(ws_h, nullptr);
   EXPECT_EQ(ref_h->count(), ws_h->count());
   EXPECT_EQ(ref_h->mean(), ws_h->mean());
@@ -143,13 +189,15 @@ TEST(BallWorkspace, LocalViewMatchesAllocatingPath) {
   Graph g = testing::paper_figure1_graph();
   BallWorkspace workspace;
   LocalView out;
-  for (int radius = 2; radius <= 6; ++radius) {
+  for (int radius = 1; radius <= 6; ++radius) {
     for (int v = 0; v < g.num_vertices(); ++v) {
-      LocalView ref = compute_local_view(g, v, radius, nullptr);
+      LocalView ref = testing::local_view_oracle(g, v, radius);
       local::compute_local_view(g, v, radius, nullptr, workspace, out);
       expect_same_view(ref, out);
     }
   }
+  EXPECT_THROW(local::compute_local_view(g, 0, 0, nullptr, workspace, out),
+               std::invalid_argument);
 }
 
 TEST(BallWorkspace, LocalViewMatchesOnRandomChordalWithMask) {
@@ -165,7 +213,7 @@ TEST(BallWorkspace, LocalViewMatchesOnRandomChordalWithMask) {
   LocalView out;
   for (int v = 0; v < g.num_vertices(); ++v) {
     if (!active[v]) continue;
-    LocalView ref = compute_local_view(g, v, 4, &active);
+    LocalView ref = testing::local_view_oracle(g, v, 4, &active);
     local::compute_local_view(g, v, 4, &active, workspace, out);
     expect_same_view(ref, out);
   }
@@ -179,6 +227,56 @@ TEST(BallWorkspace, LastBallDistReportsRestrictedDistances) {
   for (int v = 0; v < g.num_vertices(); ++v) {
     int expected = std::abs(v - 5) <= 3 ? std::abs(v - 5) : -1;
     EXPECT_EQ(workspace.last_ball_dist(v), expected) << "v=" << v;
+  }
+  // Under a mask: the restricted BFS distance inside the radius, else -1.
+  SplitGraph s = split_graph();
+  local::compute_local_view(s.g, 4, 2, &s.active, workspace, out);
+  std::vector<int> dist = bfs_distances_restricted(s.g, 4, s.active);
+  for (int v = 0; v < s.g.num_vertices(); ++v) {
+    int expected = dist[v] >= 0 && dist[v] <= 2 ? dist[v] : -1;
+    EXPECT_EQ(workspace.last_ball_dist(v), expected) << "v=" << v;
+  }
+}
+
+TEST(BallWorkspace, FulkersonGrossMatchesBruteforceOnBallGraphs) {
+  // The family extraction compute_local_view runs on each collected ball
+  // graph equals Bron-Kerbosch on that graph, masked or not.
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (TreeShape shape : {TreeShape::kCaterpillar, TreeShape::kSpider}) {
+    CliqueTreeConfig config;
+    config.num_bags = 40;
+    config.shape = shape;
+    config.seed = 31;
+    graphs.emplace_back("clique_tree_" + std::to_string(static_cast<int>(shape)),
+                        random_chordal_from_clique_tree(config).graph);
+  }
+  for (std::uint64_t seed : {3, 11}) {
+    RandomChordalConfig config;
+    config.n = 80;
+    config.max_clique = 5;
+    config.chain_bias = 0.7;
+    config.seed = seed;
+    graphs.emplace_back("random_chordal_" + std::to_string(seed),
+                        random_chordal(config));
+  }
+  BallWorkspace workspace;
+  Ball ball;
+  for (const auto& [name, g] : graphs) {
+    std::vector<char> active(static_cast<std::size_t>(g.num_vertices()), 1);
+    for (int v = 1; v < g.num_vertices(); v += 4) active[v] = 0;
+    for (bool masked : {false, true}) {
+      for (int radius = 2; radius <= 5; ++radius) {
+        for (int v = 0; v < g.num_vertices(); v += 3) {
+          if (masked && !active[v]) continue;
+          local::collect_ball(g, v, radius, masked ? &active : nullptr,
+                              workspace, ball);
+          EXPECT_EQ(maximal_cliques_chordal_family(ball.graph),
+                    CliqueFamily(maximal_cliques_bruteforce(ball.graph)))
+              << name << " v=" << v << " radius=" << radius
+              << (masked ? " masked" : "");
+        }
+      }
+    }
   }
 }
 
